@@ -35,8 +35,14 @@ import numpy as np
 
 from repro.core.reduction import GraphReducer, ProblemReductionResult, ReductionResult
 from repro.obs.trace import span
-from repro.qaoa.expectation import maxcut_evaluator, noisy_maxcut_expectation
-from repro.qaoa.fast_sim import FastNoiseSpec, noisy_qaoa_probabilities, qaoa_probabilities
+from repro.problems.base import MAX_DENSE_QUBITS
+from repro.qaoa.expectation import EXACT_LIMIT, maxcut_evaluator, noisy_maxcut_expectation
+from repro.qaoa.fast_sim import (
+    FastNoiseSpec,
+    noisy_qaoa_probabilities,
+    qaoa_expectation_fast,
+    qaoa_probabilities,
+)
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
 from repro.qaoa.optimizer import OptimizationTrace, cobyla_optimize, multi_restart_optimize
 from repro.utils.graphs import ensure_graph, relabel_to_range
@@ -203,12 +209,13 @@ class RedQAOA:
         """Step 4: short optimization on the original graph, if enabled."""
         if self.finetune_maxiter == 0:
             return None
-        objective = self._objective(relabel_to_range(graph))
-        initial = np.concatenate([gammas, betas])
+        return self._finetune(self._objective(relabel_to_range(graph)), gammas, betas)
+
+    def _finetune(self, objective, gammas: np.ndarray, betas: np.ndarray) -> OptimizationTrace:
         return cobyla_optimize(
             objective,
             self.p,
-            initial=initial,
+            initial=np.concatenate([gammas, betas]),
             maxiter=self.finetune_maxiter,
             rhobeg=0.1,  # small steps: the transferred start is near-optimal
             seed=self._rng,
@@ -249,21 +256,21 @@ class RedQAOA:
         gammas, betas = best_trace.best_parameters
 
         relabeled = relabel_to_range(graph)
-        evaluate_ideal = maxcut_evaluator(relabeled, self.p, plan_cache=self.plan_cache)
-        expectation = evaluate_ideal(gammas, betas)
-        with span("finetune"):
-            finetune_trace = self.finetune(relabeled, gammas, betas)
-        if finetune_trace is not None and finetune_trace.num_evaluations:
-            # Keep the transferred parameters if fine-tuning failed to help
-            # under its (possibly noisy) objective.
-            ft_gammas, ft_betas = finetune_trace.best_parameters
-            ft_expectation = evaluate_ideal(ft_gammas, ft_betas)
-            if ft_expectation >= expectation:
-                gammas, betas = ft_gammas, ft_betas
-                expectation = ft_expectation
-
+        if self.noise is None and relabeled.number_of_nodes() <= EXACT_LIMIT:
+            hamiltonian = MaxCutHamiltonian(relabeled)
+            evaluate, objective = self._dense_engines(hamiltonian)
+        else:
+            hamiltonian = None
+            evaluate_ideal = maxcut_evaluator(relabeled, self.p, plan_cache=self.plan_cache)
+            evaluate = self._without_state(evaluate_ideal)
+            objective = evaluate_ideal if self.noise is None else self._objective(relabeled)
+        gammas, betas, expectation, probs, finetune_trace = self._transfer(
+            evaluate, objective, gammas, betas
+        )
         with span("readout"):
-            cut_value, assignment = self._solve(graph, relabeled, gammas, betas)
+            cut_value, assignment = self._solve(
+                graph, relabeled, gammas, betas, hamiltonian, probs
+            )
         return RedQAOAResult(
             reduction=reduction,
             gammas=np.asarray(gammas, dtype=float),
@@ -290,11 +297,15 @@ class RedQAOA:
                 "noisy optimization is only wired up for MaxCut graphs; "
                 "run problems with noise=None"
             )
-        # Dispatch the full-problem engine first: this fails fast (before
-        # any reduction or optimization budget is spent) when no exact
-        # engine can evaluate the transfer target, and on the lightcone
-        # path it compiles the plan once for every later evaluation.
-        evaluate_full = problem_evaluator(problem, self.p, plan_cache=self.plan_cache)
+        if problem.num_qubits <= EXACT_LIMIT:
+            evaluate, objective = self._dense_engines(problem)
+        else:
+            # Dispatch the full-problem engine first: this fails fast (before
+            # any reduction or optimization budget is spent) when no exact
+            # engine can evaluate the transfer target, and on the lightcone
+            # path it compiles the plan once for every later evaluation.
+            objective = problem_evaluator(problem, self.p, plan_cache=self.plan_cache)
+            evaluate = self._without_state(objective)
         if reduction is None:
             with span("reduce"):
                 reduction = self.reducer.reduce_problem(problem)
@@ -309,27 +320,11 @@ class RedQAOA:
         best_trace = max(traces, key=lambda t: t.best_value)
         gammas, betas = best_trace.best_parameters
 
-        expectation = evaluate_full(gammas, betas)
-        finetune_trace = None
-        if self.finetune_maxiter > 0:
-            with span("finetune"):
-                finetune_trace = cobyla_optimize(
-                    evaluate_full,
-                    self.p,
-                    initial=np.concatenate([gammas, betas]),
-                    maxiter=self.finetune_maxiter,
-                    rhobeg=0.1,
-                    seed=self._rng,
-                )
-            if finetune_trace.num_evaluations:
-                ft_gammas, ft_betas = finetune_trace.best_parameters
-                ft_expectation = evaluate_full(ft_gammas, ft_betas)
-                if ft_expectation >= expectation:
-                    gammas, betas = ft_gammas, ft_betas
-                    expectation = ft_expectation
-
+        gammas, betas, expectation, probs, finetune_trace = self._transfer(
+            evaluate, objective, gammas, betas
+        )
         with span("readout"):
-            cut_value, assignment = self._solve_problem(problem, gammas, betas)
+            cut_value, assignment = self._solve_problem(problem, gammas, betas, probs)
         return RedQAOAResult(
             reduction=reduction,
             gammas=np.asarray(gammas, dtype=float),
@@ -341,20 +336,68 @@ class RedQAOA:
             finetune_trace=finetune_trace,
         )
 
+    @staticmethod
+    def _dense_engines(target):
+        """Transfer evaluator and fine-tuning objective on a dense full-size target.
+
+        ``target`` (a :class:`MaxCutHamiltonian` or a problem) is built
+        once per job, so its diagonal is too.  The evaluator returns
+        ``(expectation, probs)``: the expectation is ``probs @ diagonal``,
+        the exact expression of :func:`qaoa_expectation_fast`, and the
+        readout samples the same ``probs`` instead of recomputing the state.
+        """
+
+        def evaluate(gammas, betas):
+            probs = qaoa_probabilities(target, list(gammas), list(betas))
+            return float(probs @ target.diagonal), probs
+
+        def objective(gammas, betas):
+            return qaoa_expectation_fast(target, gammas, betas)
+
+        return evaluate, objective
+
+    @staticmethod
+    def _without_state(evaluate):
+        """Adapt a scalar evaluator to the ``(expectation, probs)`` shape."""
+        return lambda gammas, betas: (evaluate(gammas, betas), None)
+
+    def _transfer(self, evaluate, objective, gammas, betas):
+        """Steps 3-4: price the transferred parameters, then fine-tune.
+
+        ``evaluate`` returns ``(expectation, probs)`` with ``probs`` the
+        ideal final distribution when the engine produced one (else
+        ``None``); ``objective`` is what fine-tuning maximizes.  Returns
+        the final ``(gammas, betas, expectation, probs, finetune_trace)``,
+        so ``probs`` always belongs to the returned parameters.
+        """
+        expectation, probs = evaluate(gammas, betas)
+        if self.finetune_maxiter == 0:
+            return gammas, betas, expectation, probs, None
+        with span("finetune"):
+            finetune_trace = self._finetune(objective, gammas, betas)
+        if finetune_trace.num_evaluations:
+            # Keep the transferred parameters if fine-tuning failed to help
+            # under its (possibly noisy) objective.
+            ft_gammas, ft_betas = finetune_trace.best_parameters
+            ft_expectation, ft_probs = evaluate(ft_gammas, ft_betas)
+            if ft_expectation >= expectation:
+                return ft_gammas, ft_betas, ft_expectation, ft_probs, finetune_trace
+        return gammas, betas, expectation, probs, finetune_trace
+
     def _solve_problem(
-        self, problem, gammas: np.ndarray, betas: np.ndarray
+        self, problem, gammas: np.ndarray, betas: np.ndarray, probs=None
     ) -> tuple[float, dict]:
         """Sample the problem's trial state; best observed objective value.
 
-        Needs the dense state, so readout is skipped (NaN value, empty
-        assignment) beyond the dense-qubit guard -- the expectation and
-        transferred parameters remain valid there.
+        ``probs`` is the final state's distribution when the caller already
+        holds it.  Needs the dense state, so readout is skipped (NaN value,
+        empty assignment) beyond the dense-qubit guard -- the expectation
+        and transferred parameters remain valid there.
         """
-        from repro.problems import MAX_DENSE_QUBITS
-
         if problem.num_qubits > MAX_DENSE_QUBITS:
             return float("nan"), {}
-        probs = qaoa_probabilities(problem, list(gammas), list(betas))
+        if probs is None:
+            probs = qaoa_probabilities(problem, list(gammas), list(betas))
         return self._sample_readout(
             problem.diagonal, probs, range(problem.num_qubits)
         )
@@ -395,21 +438,34 @@ class RedQAOA:
         )
 
     def _solve(
-        self, graph: nx.Graph, relabeled: nx.Graph, gammas: np.ndarray, betas: np.ndarray
+        self,
+        graph: nx.Graph,
+        relabeled: nx.Graph,
+        gammas: np.ndarray,
+        betas: np.ndarray,
+        hamiltonian: MaxCutHamiltonian | None = None,
+        probs: np.ndarray | None = None,
     ) -> tuple[float, dict]:
         """Step 5: sample the final state and return the best observed cut.
 
         ``relabeled`` is the caller's already-computed 0..n-1 relabeling of
         ``graph``; the original is still needed for assignment labels.
+        ``hamiltonian`` and ``probs`` are the job's Hamiltonian and the
+        final state's distribution when the caller already holds them.
+        Readout is skipped (NaN value, empty assignment) beyond the
+        dense-qubit guard, like :meth:`_solve_problem`.
         """
-        hamiltonian = MaxCutHamiltonian(relabeled)
-        if self.noise is None:
-            probs = qaoa_probabilities(hamiltonian, list(gammas), list(betas))
-        else:
-            probs = noisy_qaoa_probabilities(
-                hamiltonian, list(gammas), list(betas), self.noise,
-                trajectories=self.trajectories, seed=self._rng,
-            )
+        if relabeled.number_of_nodes() > MAX_DENSE_QUBITS:
+            return float("nan"), {}
+        if probs is None:
+            hamiltonian = MaxCutHamiltonian(relabeled)
+            if self.noise is None:
+                probs = qaoa_probabilities(hamiltonian, list(gammas), list(betas))
+            else:
+                probs = noisy_qaoa_probabilities(
+                    hamiltonian, list(gammas), list(betas), self.noise,
+                    trajectories=self.trajectories, seed=self._rng,
+                )
         try:
             ordered = sorted(graph.nodes())
         except TypeError:

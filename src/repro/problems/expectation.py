@@ -31,7 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.problems.base import MAX_DENSE_QUBITS, DiagonalProblem
-from repro.qaoa.expectation import EngineLimitError
+from repro.qaoa.expectation import EXACT_LIMIT, EngineLimitError
 from repro.qaoa.fast_sim import qaoa_expectation_fast
 from repro.qaoa.lightcone import LightconePlan, LightconeTooLargeError, PlanCache
 
@@ -41,8 +41,6 @@ __all__ = [
     "problem_expectation_reference",
     "problem_lightcone_plan",
 ]
-
-_EXACT_LIMIT = 20
 
 
 def _check_params(gammas, betas) -> tuple[list[float], list[float]]:
@@ -105,7 +103,7 @@ def problem_evaluator(
     problem: DiagonalProblem,
     p: int,
     method: str = "auto",
-    exact_limit: int = _EXACT_LIMIT,
+    exact_limit: int = EXACT_LIMIT,
     max_qubits: int = 20,
     plan_cache: "PlanCache | None" = None,
 ):
@@ -163,7 +161,7 @@ def problem_expectation(
     gammas: Sequence[float],
     betas: Sequence[float],
     method: str = "auto",
-    exact_limit: int = _EXACT_LIMIT,
+    exact_limit: int = EXACT_LIMIT,
     max_qubits: int = 20,
 ) -> float:
     """Ideal QAOA expectation of ``problem`` with automatic engine choice.

@@ -45,13 +45,15 @@ from repro.qaoa.lightcone import (
 from repro.utils.graphs import ensure_graph, relabel_to_range
 
 __all__ = [
+    "EXACT_LIMIT",
     "EngineLimitError",
     "maxcut_evaluator",
     "maxcut_expectation",
     "noisy_maxcut_expectation",
 ]
 
-_EXACT_LIMIT = 20
+#: Largest qubit count that ``auto`` dispatch prices on the dense statevector engine.
+EXACT_LIMIT = 20
 
 
 class EngineLimitError(ValueError):
@@ -63,7 +65,7 @@ def maxcut_expectation(
     gammas: Sequence[float],
     betas: Sequence[float],
     method: str = "auto",
-    exact_limit: int = _EXACT_LIMIT,
+    exact_limit: int = EXACT_LIMIT,
 ) -> float:
     """Ideal QAOA MaxCut expectation with automatic engine choice.
 
@@ -100,7 +102,7 @@ def maxcut_evaluator(
     graph: nx.Graph,
     p: int,
     method: str = "auto",
-    exact_limit: int = _EXACT_LIMIT,
+    exact_limit: int = EXACT_LIMIT,
     plan_cache: PlanCache | None = None,
 ):
     """One-time engine dispatch: a reusable ``f(gammas, betas) -> float``.

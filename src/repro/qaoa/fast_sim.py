@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.qaoa.hamiltonian import MaxCutHamiltonian
+from repro.qaoa.hamiltonian import MaxCutHamiltonian, cut_diagonal
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -53,18 +53,31 @@ def _check_params(gammas: Sequence[float], betas: Sequence[float]) -> tuple[np.n
     return gammas, betas
 
 
-def _rx_update(a: np.ndarray, b: np.ndarray, c, s) -> None:
+# Qubits whose RX pairs stay inside one block of the blocked statevector:
+# 2**14 complex amplitudes = 256 KB, which stays resident in L2 while the
+# phase and every low-qubit RX run over it.
+_LOW_QUBITS = 14
+# Amplitude pairs per chunk of a high-qubit RX pass: two 64 KB halves plus
+# two 64 KB scratch buffers.
+_CHUNK = 1 << 12
+
+
+def _rx_update(a: np.ndarray, b: np.ndarray, c, s, top=None, tmp=None) -> None:
     """In-place ``RX`` pair update: ``(a, b) <- (c a - i s b, c b - i s a)``.
 
     ``a`` and ``b`` are the two half-state views for one qubit; ``c`` and
     ``s`` are ``cos(beta)`` / ``sin(beta)`` -- scalars, or arrays that
     broadcast against the views (the batched engine passes per-point
-    columns).  One temporary instead of the old copy-then-assign dance.
+    columns).  ``top`` and ``tmp`` are optional scratch arrays shaped like
+    the views; without them the update allocates its temporaries.
     """
     js = 1j * s
-    top = c * a - js * b
+    top = np.multiply(c, a, out=top)
+    tmp = np.multiply(js, b, out=tmp)
+    np.subtract(top, tmp, out=top)
     b *= c
-    b -= js * a
+    np.multiply(js, a, out=tmp)
+    b -= tmp
     a[...] = top
 
 
@@ -74,13 +87,22 @@ def _apply_rx_qubit(state: np.ndarray, qubit: int, c: float, s: float) -> None:
     _rx_update(view[:, 0, :], view[:, 1, :], c, s)
 
 
-def _apply_rx_all(state: np.ndarray, num_qubits: int, beta: float) -> np.ndarray:
-    """Apply ``RX(2*beta)`` (= exp(-i beta X)) to every qubit in place."""
-    c = math.cos(beta)
-    s = math.sin(beta)
-    for q in range(num_qubits):
-        _apply_rx_qubit(state, q, c, s)
-    return state
+def _apply_rx_high(
+    state: np.ndarray, qubit: int, c: float, s: float, top: np.ndarray, tmp: np.ndarray
+) -> None:
+    """``RX`` on a high qubit, streaming the state through small buffers.
+
+    The amplitude pairs ``(i, i + 2**qubit)`` are updated ``top.size`` at a
+    time with ``top``/``tmp`` as ``out=`` scratch (``2**qubit`` must be a
+    multiple of ``top.size``) instead of three fresh half-state
+    temporaries.  Every amplitude sees the same arithmetic as in one
+    whole-state update, so the result is bit-identical to it.
+    """
+    chunk = top.size
+    for row in state.reshape(-1, 2, 2**qubit):
+        for start in range(0, 2**qubit, chunk):
+            stop = start + chunk
+            _rx_update(row[0, start:stop], row[1, start:stop], c, s, top, tmp)
 
 
 def qaoa_statevector(
@@ -88,14 +110,38 @@ def qaoa_statevector(
     gammas: Sequence[float],
     betas: Sequence[float],
 ) -> np.ndarray:
-    """Exact final statevector of p-layer QAOA (paper Eq. 3)."""
+    """Exact final statevector of p-layer QAOA (paper Eq. 3).
+
+    Cache-blocked: per layer, the cost phase and the RX on the low
+    :data:`_LOW_QUBITS` qubits run one ``2**14``-amplitude block at a time
+    (those RX pairs never leave a block), then the high qubits' RX passes
+    stream the whole state through small preallocated buffers.  Each
+    amplitude receives the same operations in the same order as the
+    unblocked layer (phase multiply, then RX qubit by qubit), so the state
+    is bit-identical to it.
+    """
     gammas, betas = _check_params(gammas, betas)
     n = hamiltonian.num_qubits
     diag = hamiltonian.diagonal
-    state = np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex)
+    size = 2**n
+    state = np.full(size, 1.0 / math.sqrt(size), dtype=complex)
+    low = min(n, _LOW_QUBITS)
+    block = 2**low
+    phase = np.empty(block, dtype=complex)
+    top = np.empty(_CHUNK, dtype=complex)
+    tmp = np.empty(_CHUNK, dtype=complex)
     for gamma, beta in zip(gammas, betas):
-        state *= np.exp(-1j * gamma * diag)
-        state = _apply_rx_all(state, n, beta)
+        factor = -1j * gamma
+        c = math.cos(beta)
+        s = math.sin(beta)
+        for start in range(0, size, block):
+            amplitudes = state[start : start + block]
+            np.multiply(factor, diag[start : start + block], out=phase)
+            amplitudes *= np.exp(phase, out=phase)
+            for q in range(low):
+                _apply_rx_qubit(amplitudes, q, c, s)
+        for q in range(low, n):
+            _apply_rx_high(state, q, c, s, top, tmp)
     return state
 
 
@@ -341,28 +387,27 @@ def _biased_cost_diagonal(hamiltonian: MaxCutHamiltonian, noise: FastNoiseSpec) 
             f"edge_phase_bias has {len(noise.edge_phase_bias)} entries for "
             f"{len(edges)} edges"
         )
-    n = hamiltonian.num_qubits
-    z = np.arange(2**n, dtype=np.uint64)
-    diag = np.zeros(2**n)
-    for (u, v), weight, bias in zip(edges, hamiltonian.weights, noise.edge_phase_bias):
-        cut = ((z >> np.uint64(u)) ^ (z >> np.uint64(v))) & np.uint64(1)
-        diag += (1.0 + bias) * weight * cut
-    return diag
+    return cut_diagonal(
+        hamiltonian.num_qubits,
+        edges,
+        [
+            (1.0 + bias) * weight
+            for weight, bias in zip(hamiltonian.weights, noise.edge_phase_bias)
+        ],
+    )
 
 
 def _apply_biased_mixer(
     state: np.ndarray, num_qubits: int, beta: float, noise: FastNoiseSpec
 ) -> np.ndarray:
-    """Mixer layer with coherent per-qubit angle biases."""
-    if noise.node_mixer_bias is None:
-        return _apply_rx_all(state, num_qubits, beta)
-    if len(noise.node_mixer_bias) < num_qubits:
+    """Mixer layer, with coherent per-qubit angle biases when the spec has them."""
+    biases = noise.node_mixer_bias
+    if biases is not None and len(biases) < num_qubits:
         raise ValueError(
-            f"node_mixer_bias has {len(noise.node_mixer_bias)} entries for "
-            f"{num_qubits} qubits"
+            f"node_mixer_bias has {len(biases)} entries for {num_qubits} qubits"
         )
     for q in range(num_qubits):
-        angle = beta * (1.0 + noise.node_mixer_bias[q])
+        angle = beta if biases is None else beta * (1.0 + biases[q])
         _apply_rx_qubit(state, q, math.cos(angle), math.sin(angle))
     return state
 

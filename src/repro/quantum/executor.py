@@ -121,6 +121,7 @@ class DeviceExecutor:
         # Imported here: repro.qaoa depends on repro.quantum, so a module-
         # level import would be circular.
         from repro.qaoa.circuit_builder import build_qaoa_circuit
+        from repro.qaoa.hamiltonian import cut_diagonal
 
         ensure_graph(graph)
         relabeled = relabel_to_range(graph)
@@ -130,12 +131,12 @@ class DeviceExecutor:
         result = self.run(circuit)
         layout = result.transpiled.final_layout
         width = result.transpiled.circuit.num_qubits
-        z = np.arange(2**width, dtype=np.uint64)
-        diagonal = np.zeros(2**width)
-        for u, v, data in relabeled.edges(data=True):
-            pu, pv = layout[u], layout[v]
-            cut = ((z >> np.uint64(pu)) ^ (z >> np.uint64(pv))) & np.uint64(1)
-            diagonal += float(data.get("weight", 1.0)) * cut
+        edges = list(relabeled.edges(data=True))
+        diagonal = cut_diagonal(
+            width,
+            [(layout[u], layout[v]) for u, v, _ in edges],
+            [float(data.get("weight", 1.0)) for _, _, data in edges],
+        )
         return float(result.probabilities @ diagonal)
 
     def sample_cuts(
