@@ -759,7 +759,7 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import Campaign
+    from repro.service import Campaign, JobFailedError
 
     manifest = _manifest_from_args(args)
 
@@ -784,7 +784,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"error building the campaign: {exc}")
     with _tracing(args.trace):
-        report = campaign.run(on_result=progress)
+        try:
+            report = campaign.run(on_result=progress)
+        except JobFailedError as exc:
+            raise SystemExit(f"error: {exc}")
     if args.report is not None:
         report.write(args.report)
     payload = report.to_dict()

@@ -1,29 +1,28 @@
 """The end-to-end Red-QAOA pipeline (paper Fig. 4).
 
-:class:`RedQAOA` glues the pieces together:
+:class:`RedQAOA` runs one flow on a MaxCut graph (the paper's setting) or
+on any :class:`~repro.problems.DiagonalProblem` via ``run(problem=...)``:
 
-1. **reduce** -- distill the input graph with the SA reducer;
-2. **optimize** -- run the parameter search (COBYLA restarts or grid
-   search) on the *distilled* graph, under whatever noise the caller
-   specifies (a small circuit, so cheap and noise-tolerant);
-3. **transfer** -- reuse the best parameters on the original graph;
-4. **fine-tune** -- optionally continue optimization on the original graph
-   from the transferred parameters (few iterations, as the start is already
-   near-optimal);
-5. **solve** -- sample the original graph's QAOA state at the final
-   parameters to read out a cut.
+0. **dispatch** -- pick the exact engine for the full-size instance
+   (:mod:`repro.qaoa.expectation`'s one policy); an instance no engine
+   can evaluate fails here, before any budget is spent;
+1. **reduce** -- distill the graph (or the problem's coupling graph,
+   field-aware) with the SA reducer;
+2. **optimize** -- run COBYLA restarts on the *distilled* instance, under
+   whatever noise the caller specifies (a small circuit, so cheap and
+   noise-tolerant);
+3. **transfer** -- reuse the best parameters on the original instance;
+4. **fine-tune** -- optionally continue optimization on the original
+   instance from the transferred parameters (few iterations, as the start
+   is already near-optimal);
+5. **readout** -- sample the original instance's QAOA state at the final
+   parameters and keep the best value seen.
 
 Edge weights (the ``weight`` attribute) flow through every step: the SA
 reducer matches weighted node strength, induced subgraphs and relabelings
-preserve edge data, every expectation engine honors weights, and the cut
-readout scores sampled states against the weighted diagonal.
-
-The pipeline is workload-generic: :meth:`RedQAOA.run` accepts either a
-MaxCut graph (the paper's setting) or any
-:class:`~repro.problems.DiagonalProblem` via ``run(problem=...)`` --
-reduction then happens on the coupling graph (field-aware), optimization
-on the restricted subproblem, and transfer/readout against the problem's
-own diagonal.
+preserve edge data, every expectation engine honors weights, and the
+readout scores sampled states against the weighted diagonal.  Noise is
+wired up for graphs only.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
+import repro.problems.expectation as problem_expectation
 from repro.core.reduction import GraphReducer, ProblemReductionResult, ReductionResult
 from repro.obs.trace import span
-from repro.problems.base import MAX_DENSE_QUBITS
 from repro.qaoa.expectation import EXACT_LIMIT, maxcut_evaluator, noisy_maxcut_expectation
 from repro.qaoa.fast_sim import (
     FastNoiseSpec,
@@ -43,7 +42,7 @@ from repro.qaoa.fast_sim import (
     qaoa_expectation_fast,
     qaoa_probabilities,
 )
-from repro.qaoa.hamiltonian import MaxCutHamiltonian
+from repro.qaoa.hamiltonian import MAX_DENSE_QUBITS, MaxCutHamiltonian
 from repro.qaoa.optimizer import OptimizationTrace, cobyla_optimize, multi_restart_optimize
 from repro.utils.graphs import ensure_graph, relabel_to_range
 from repro.utils.rng import as_generator
@@ -158,21 +157,21 @@ class RedQAOA:
         ensure_graph(graph)
         return self.reducer.reduce(graph)
 
-    def optimize_reduced(self, reduction: ReductionResult) -> list[OptimizationTrace]:
-        """Step 2: COBYLA restarts on the distilled graph."""
-        return self._optimize_traces(
-            self._objective(reduction.reduced_graph),
-            warm_start_graph=reduction.reduced_graph,
-        )
+    def optimize_reduced(
+        self, reduction: ReductionResult | ProblemReductionResult
+    ) -> list[OptimizationTrace]:
+        """Step 2: COBYLA restarts on the distilled graph or subproblem.
 
-    def _optimize_traces(self, objective, warm_start_graph=None) -> list[OptimizationTrace]:
-        """COBYLA restarts against ``objective``; one warm start when enabled.
-
-        Shared by the graph and problem paths so restart bookkeeping (and
-        the RNG draw order behind same-seed reproducibility) lives in one
-        place.  ``warm_start_graph`` feeds the degree-indexed lookup; pass
-        ``None`` to force all-random restarts.
+        One restart warm-starts from the degree-indexed lookup when
+        enabled; a subproblem without couplings has no graph to look up,
+        so its restarts stay random.
         """
+        if isinstance(reduction, ProblemReductionResult):
+            reduced = reduction.subproblem
+            warm_start_graph = reduced.coupling_graph() if reduced.num_couplings else None
+        else:
+            reduced = warm_start_graph = reduction.reduced_graph
+        objective = self._objective(reduced)
         traces: list[OptimizationTrace] = []
         random_restarts = self.restarts
         if self.warm_start and warm_start_graph is not None:
@@ -200,27 +199,6 @@ class RedQAOA:
             self._lookup = ParameterLookup(seed=self._rng)
         return self._lookup.warm_start_vector(graph, self.p)
 
-    def finetune(
-        self,
-        graph: nx.Graph,
-        gammas: np.ndarray,
-        betas: np.ndarray,
-    ) -> OptimizationTrace | None:
-        """Step 4: short optimization on the original graph, if enabled."""
-        if self.finetune_maxiter == 0:
-            return None
-        return self._finetune(self._objective(relabel_to_range(graph)), gammas, betas)
-
-    def _finetune(self, objective, gammas: np.ndarray, betas: np.ndarray) -> OptimizationTrace:
-        return cobyla_optimize(
-            objective,
-            self.p,
-            initial=np.concatenate([gammas, betas]),
-            maxiter=self.finetune_maxiter,
-            rhobeg=0.1,  # small steps: the transferred start is near-optimal
-            seed=self._rng,
-        )
-
     def run(
         self,
         graph: nx.Graph | None = None,
@@ -232,7 +210,14 @@ class RedQAOA:
 
         Exactly one of ``graph`` (MaxCut, the paper's workload) and
         ``problem`` (a :class:`~repro.problems.DiagonalProblem`: MIS,
-        vertex cover, partitioning, SK, QUBO, ...) must be given.
+        vertex cover, partitioning, SK, QUBO, ...) must be given.  Both run
+        the same flow: dispatch the full-size engine, reduce, optimize on
+        the distilled instance, transfer (and fine-tune), read out.  The
+        engine dispatch comes first and draws nothing from the RNG, so an
+        instance no exact engine can evaluate fails fast -- with
+        :class:`~repro.qaoa.expectation.EngineLimitError`, before any
+        reduction or optimization budget is spent -- and on the lightcone
+        path the plan is compiled once for every later evaluation.
 
         ``reduction`` optionally supplies a precomputed (possibly shared)
         reduction of the *same* instance, skipping step 1.  Passing the
@@ -244,33 +229,40 @@ class RedQAOA:
         """
         if (graph is None) == (problem is None):
             raise ValueError("pass exactly one of graph= or problem=")
-        if problem is not None:
-            return self._run_problem(problem, reduction=reduction)
-        ensure_graph(graph)
+        if problem is None:
+            ensure_graph(graph)
+            instance = relabel_to_range(graph)
+            target = MaxCutHamiltonian(instance)
+            try:
+                labels = sorted(graph.nodes())
+            except TypeError:
+                labels = list(graph.nodes())
+        else:
+            if self.noise is not None:
+                raise NotImplementedError(
+                    "noisy optimization is only wired up for MaxCut graphs; "
+                    "run problems with noise=None"
+                )
+            instance = target = problem
+            labels = range(problem.num_qubits)
+        evaluate, objective = self._full_size_engines(instance, target)
+
         if reduction is None:
             with span("reduce"):
-                reduction = self.reduce(graph)
+                if problem is None:
+                    reduction = self.reduce(graph)
+                else:
+                    reduction = self.reducer.reduce_problem(problem)
         with span("optimize"):
             traces = self.optimize_reduced(reduction)
         best_trace = max(traces, key=lambda t: t.best_value)
         gammas, betas = best_trace.best_parameters
 
-        relabeled = relabel_to_range(graph)
-        if self.noise is None and relabeled.number_of_nodes() <= EXACT_LIMIT:
-            hamiltonian = MaxCutHamiltonian(relabeled)
-            evaluate, objective = self._dense_engines(hamiltonian)
-        else:
-            hamiltonian = None
-            evaluate_ideal = maxcut_evaluator(relabeled, self.p, plan_cache=self.plan_cache)
-            evaluate = self._without_state(evaluate_ideal)
-            objective = evaluate_ideal if self.noise is None else self._objective(relabeled)
         gammas, betas, expectation, probs, finetune_trace = self._transfer(
             evaluate, objective, gammas, betas
         )
         with span("readout"):
-            cut_value, assignment = self._solve(
-                graph, relabeled, gammas, betas, hamiltonian, probs
-            )
+            cut_value, assignment = self._readout(target, labels, gammas, betas, probs)
         return RedQAOAResult(
             reduction=reduction,
             gammas=np.asarray(gammas, dtype=float),
@@ -282,84 +274,31 @@ class RedQAOA:
             finetune_trace=finetune_trace,
         )
 
-    def _run_problem(self, problem, reduction=None) -> RedQAOAResult:
-        """Reduce -> optimize -> transfer -> solve on a diagonal problem.
+    def _full_size_engines(self, instance, target):
+        """Transfer evaluator and fine-tuning objective on the full-size instance.
 
-        The same Fig. 4 flow, with the coupling graph standing in for the
-        MaxCut graph: SA distills it (field-aware), COBYLA restarts run
-        against the subproblem's expectation, the best parameters transfer
-        to the full problem, and readout samples the full trial state.
+        The evaluator returns ``(expectation, probs)``.  Ideal dense jobs
+        (``n <= EXACT_LIMIT``) price ``target`` -- built once per job, so
+        its diagonal is too -- as ``probs @ diagonal``, the exact
+        expression of :func:`qaoa_expectation_fast`, and the readout
+        samples the same ``probs`` instead of recomputing the state.
+        Otherwise the evaluator is the dispatched engine (``probs`` is
+        ``None``), and fine-tuning maximizes it, or the noisy objective
+        when noise is configured.
         """
-        from repro.problems.expectation import problem_evaluator
+        if self.noise is None and target.num_qubits <= EXACT_LIMIT:
 
-        if self.noise is not None:
-            raise NotImplementedError(
-                "noisy optimization is only wired up for MaxCut graphs; "
-                "run problems with noise=None"
-            )
-        if problem.num_qubits <= EXACT_LIMIT:
-            evaluate, objective = self._dense_engines(problem)
-        else:
-            # Dispatch the full-problem engine first: this fails fast (before
-            # any reduction or optimization budget is spent) when no exact
-            # engine can evaluate the transfer target, and on the lightcone
-            # path it compiles the plan once for every later evaluation.
-            objective = problem_evaluator(problem, self.p, plan_cache=self.plan_cache)
-            evaluate = self._without_state(objective)
-        if reduction is None:
-            with span("reduce"):
-                reduction = self.reducer.reduce_problem(problem)
-        sub = reduction.subproblem
-        evaluate_sub = problem_evaluator(sub, self.p, plan_cache=self.plan_cache)
+            def evaluate(gammas, betas):
+                probs = qaoa_probabilities(target, list(gammas), list(betas))
+                return float(probs @ target.diagonal), probs
 
-        with span("optimize"):
-            traces = self._optimize_traces(
-                evaluate_sub,
-                warm_start_graph=sub.coupling_graph() if sub.num_couplings else None,
-            )
-        best_trace = max(traces, key=lambda t: t.best_value)
-        gammas, betas = best_trace.best_parameters
+            def objective(gammas, betas):
+                return qaoa_expectation_fast(target, gammas, betas)
 
-        gammas, betas, expectation, probs, finetune_trace = self._transfer(
-            evaluate, objective, gammas, betas
-        )
-        with span("readout"):
-            cut_value, assignment = self._solve_problem(problem, gammas, betas, probs)
-        return RedQAOAResult(
-            reduction=reduction,
-            gammas=np.asarray(gammas, dtype=float),
-            betas=np.asarray(betas, dtype=float),
-            expectation=expectation,
-            cut_value=cut_value,
-            assignment=assignment,
-            reduced_traces=traces,
-            finetune_trace=finetune_trace,
-        )
-
-    @staticmethod
-    def _dense_engines(target):
-        """Transfer evaluator and fine-tuning objective on a dense full-size target.
-
-        ``target`` (a :class:`MaxCutHamiltonian` or a problem) is built
-        once per job, so its diagonal is too.  The evaluator returns
-        ``(expectation, probs)``: the expectation is ``probs @ diagonal``,
-        the exact expression of :func:`qaoa_expectation_fast`, and the
-        readout samples the same ``probs`` instead of recomputing the state.
-        """
-
-        def evaluate(gammas, betas):
-            probs = qaoa_probabilities(target, list(gammas), list(betas))
-            return float(probs @ target.diagonal), probs
-
-        def objective(gammas, betas):
-            return qaoa_expectation_fast(target, gammas, betas)
-
-        return evaluate, objective
-
-    @staticmethod
-    def _without_state(evaluate):
-        """Adapt a scalar evaluator to the ``(expectation, probs)`` shape."""
-        return lambda gammas, betas: (evaluate(gammas, betas), None)
+            return evaluate, objective
+        ideal = self._evaluator(instance)
+        objective = ideal if self.noise is None else self._objective(instance)
+        return (lambda gammas, betas: (ideal(gammas, betas), None)), objective
 
     def _transfer(self, evaluate, objective, gammas, betas):
         """Steps 3-4: price the transferred parameters, then fine-tune.
@@ -374,7 +313,14 @@ class RedQAOA:
         if self.finetune_maxiter == 0:
             return gammas, betas, expectation, probs, None
         with span("finetune"):
-            finetune_trace = self._finetune(objective, gammas, betas)
+            finetune_trace = cobyla_optimize(
+                objective,
+                self.p,
+                initial=np.concatenate([gammas, betas]),
+                maxiter=self.finetune_maxiter,
+                rhobeg=0.1,  # small steps: the transferred start is near-optimal
+                seed=self._rng,
+            )
         if finetune_trace.num_evaluations:
             # Keep the transferred parameters if fine-tuning failed to help
             # under its (possibly noisy) objective.
@@ -384,23 +330,26 @@ class RedQAOA:
                 return ft_gammas, ft_betas, ft_expectation, ft_probs, finetune_trace
         return gammas, betas, expectation, probs, finetune_trace
 
-    def _solve_problem(
-        self, problem, gammas: np.ndarray, betas: np.ndarray, probs=None
-    ) -> tuple[float, dict]:
-        """Sample the problem's trial state; best observed objective value.
+    def _readout(self, target, labels, gammas, betas, probs=None) -> tuple[float, dict]:
+        """Step 5: sample the final state; best observed value and its assignment.
 
-        ``probs`` is the final state's distribution when the caller already
-        holds it.  Needs the dense state, so readout is skipped (NaN value,
-        empty assignment) beyond the dense-qubit guard -- the expectation
-        and transferred parameters remain valid there.
+        ``probs`` is the final state's distribution when the transfer
+        evaluation already made it; otherwise the ideal or noisy state of
+        ``target`` is built here.  The state is dense, so readout is
+        skipped (NaN value, empty assignment) beyond the dense-qubit cap --
+        the expectation and transferred parameters remain valid there.
         """
-        if problem.num_qubits > MAX_DENSE_QUBITS:
+        if target.num_qubits > MAX_DENSE_QUBITS:
             return float("nan"), {}
         if probs is None:
-            probs = qaoa_probabilities(problem, list(gammas), list(betas))
-        return self._sample_readout(
-            problem.diagonal, probs, range(problem.num_qubits)
-        )
+            if self.noise is None:
+                probs = qaoa_probabilities(target, list(gammas), list(betas))
+            else:
+                probs = noisy_qaoa_probabilities(
+                    target, list(gammas), list(betas), self.noise,
+                    trajectories=self.trajectories, seed=self._rng,
+                )
+        return self._sample_readout(target.diagonal, probs, labels)
 
     def _sample_readout(self, diagonal, probs, labels) -> tuple[float, dict]:
         """Draw shots from ``probs`` and return the best value seen plus the
@@ -417,18 +366,26 @@ class RedQAOA:
 
     # -- internals -------------------------------------------------------------
 
-    def _objective(self, graph: nx.Graph):
-        """Energy function (to maximize) on ``graph`` under configured noise.
+    def _evaluator(self, instance):
+        """The ideal engine for a (relabeled) graph or a problem, dispatched once."""
+        if isinstance(instance, nx.Graph):
+            return maxcut_evaluator(instance, self.p, plan_cache=self.plan_cache)
+        return problem_expectation.problem_evaluator(
+            instance, self.p, plan_cache=self.plan_cache
+        )
+
+    def _objective(self, instance):
+        """Energy function (to maximize) on ``instance`` under configured noise.
 
         Ideal objectives dispatch the engine (and compile any lightcone
-        plan) once via :func:`~repro.qaoa.expectation.maxcut_evaluator`
-        instead of per evaluation -- bit-identical values, one engine
-        setup per optimization loop.
+        plan) once via :meth:`_evaluator` instead of per evaluation --
+        bit-identical values, one engine setup per optimization loop.
+        Noise is only wired up for graphs.
         """
         if self.noise is None:
-            return maxcut_evaluator(graph, self.p, plan_cache=self.plan_cache)
+            return self._evaluator(instance)
         return lambda gammas, betas: noisy_maxcut_expectation(
-            graph,
+            instance,
             gammas,
             betas,
             self.noise,
@@ -436,38 +393,3 @@ class RedQAOA:
             shots=self.shots,
             seed=self._rng,
         )
-
-    def _solve(
-        self,
-        graph: nx.Graph,
-        relabeled: nx.Graph,
-        gammas: np.ndarray,
-        betas: np.ndarray,
-        hamiltonian: MaxCutHamiltonian | None = None,
-        probs: np.ndarray | None = None,
-    ) -> tuple[float, dict]:
-        """Step 5: sample the final state and return the best observed cut.
-
-        ``relabeled`` is the caller's already-computed 0..n-1 relabeling of
-        ``graph``; the original is still needed for assignment labels.
-        ``hamiltonian`` and ``probs`` are the job's Hamiltonian and the
-        final state's distribution when the caller already holds them.
-        Readout is skipped (NaN value, empty assignment) beyond the
-        dense-qubit guard, like :meth:`_solve_problem`.
-        """
-        if relabeled.number_of_nodes() > MAX_DENSE_QUBITS:
-            return float("nan"), {}
-        if probs is None:
-            hamiltonian = MaxCutHamiltonian(relabeled)
-            if self.noise is None:
-                probs = qaoa_probabilities(hamiltonian, list(gammas), list(betas))
-            else:
-                probs = noisy_qaoa_probabilities(
-                    hamiltonian, list(gammas), list(betas), self.noise,
-                    trajectories=self.trajectories, seed=self._rng,
-                )
-        try:
-            ordered = sorted(graph.nodes())
-        except TypeError:
-            ordered = list(graph.nodes())
-        return self._sample_readout(hamiltonian.diagonal, probs, ordered)

@@ -106,14 +106,17 @@ class FlightRecorder:
         self.meta.setdefault("started_unix", time.time())
         self._segment_bytes = max(1, self.max_bytes // self.segments)
         self._seq = 0
-        self._last = 0.0  # monotonic stamp of the last append
+        self._last: float | None = None  # monotonic stamp of the last append
         self._tail_checked = False
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     # -- recording -----------------------------------------------------------
 
     def due(self) -> bool:
-        return time.monotonic() - self._last >= self.interval
+        # Never appended: due at once.  A 0.0 stamp would compare against
+        # time.monotonic(), which may count from boot, and so block the
+        # first snapshot on a host up for less than ``interval``.
+        return self._last is None or time.monotonic() - self._last >= self.interval
 
     def maybe_record(self, extra: dict | None = None) -> bool:
         """Append a snapshot if ``interval`` elapsed; returns whether it did."""

@@ -41,13 +41,11 @@ from collections.abc import Mapping, Sequence
 import networkx as nx
 import numpy as np
 
+from repro.qaoa.hamiltonian import MAX_DENSE_QUBITS
 from repro.utils.rng import as_generator
 
 __all__ = ["MAX_DENSE_QUBITS", "DiagonalProblem", "local_search_value"]
 
-# One dense-engine qubit cap shared by the diagonal builder, the
-# expectation dispatcher, and the pipeline's readout guard.
-MAX_DENSE_QUBITS = 26
 _DENSE_BEST_LIMIT = 20
 
 

@@ -1,6 +1,11 @@
-"""QAOA expectation dispatch for diagonal problems.
+"""QAOA expectation for diagonal problems: the problem side of one dispatch.
 
-Two exact paths, mirroring :mod:`repro.qaoa.expectation`:
+:func:`problem_evaluator` hands the problem's engines to
+:func:`repro.qaoa.expectation.dispatch_evaluator`, the policy graphs use
+too (statevector up to ``exact_limit``, lightcone when field-free, dense
+fallback up to the 26-qubit cap, else
+:class:`~repro.qaoa.expectation.EngineLimitError` at dispatch); problems
+just have no analytic p=1 engine.  The engines:
 
 - **statevector** (the parity oracle): the problem diagonal drops straight
   into the fast statevector engine -- :class:`DiagonalProblem` duck-types
@@ -15,25 +20,23 @@ Two exact paths, mirroring :mod:`repro.qaoa.expectation`:
   ``<value> = <cut> + constant + sum_uv J_uv`` (from
   ``<s_u s_v> = 1 - 2 P(cut)``).  For a MaxCut-encoded problem the
   coupling graph *is* the original weighted graph and the offset is zero,
-  so this path is bit-identical to the graph-based engine.
-
-``auto`` prefers the statevector up to ``exact_limit`` qubits, then the
-lightcone when the problem is field-free, and falls back cleanly to the
-dense path (up to the hard 26-qubit cap) when lightcones are too large --
-raising :class:`~repro.qaoa.expectation.EngineLimitError` only when no
-exact engine applies.
+  so this path evaluates the same plan as the graph-based engine.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.problems.base import MAX_DENSE_QUBITS, DiagonalProblem
-from repro.qaoa.expectation import EXACT_LIMIT, EngineLimitError
+from repro.problems.base import DiagonalProblem
+from repro.qaoa.expectation import (
+    EXACT_LIMIT,
+    EngineLimitError,
+    coerce_params,
+    dispatch_evaluator,
+)
 from repro.qaoa.fast_sim import qaoa_expectation_fast
-from repro.qaoa.lightcone import LightconePlan, LightconeTooLargeError, PlanCache
+from repro.qaoa.hamiltonian import MAX_DENSE_QUBITS
+from repro.qaoa.lightcone import LightconePlan, PlanCache
 
 __all__ = [
     "problem_evaluator",
@@ -41,14 +44,6 @@ __all__ = [
     "problem_expectation_reference",
     "problem_lightcone_plan",
 ]
-
-
-def _check_params(gammas, betas) -> tuple[list[float], list[float]]:
-    gammas = [float(g) for g in np.atleast_1d(gammas)]
-    betas = [float(b) for b in np.atleast_1d(betas)]
-    if len(gammas) != len(betas) or not gammas:
-        raise ValueError("gammas and betas must be non-empty and equal length")
-    return gammas, betas
 
 
 def problem_expectation_reference(
@@ -62,7 +57,7 @@ def problem_expectation_reference(
     problem's own diagonal); every other path must match it to high
     precision on small instances.
     """
-    gammas, betas = _check_params(gammas, betas)
+    gammas, betas = coerce_params(gammas, betas)
     if problem.num_qubits > MAX_DENSE_QUBITS:
         raise EngineLimitError(
             f"dense reference is limited to {MAX_DENSE_QUBITS} qubits, "
@@ -107,53 +102,33 @@ def problem_evaluator(
     max_qubits: int = 20,
     plan_cache: "PlanCache | None" = None,
 ):
-    """One-time engine dispatch: a reusable ``f(gammas, betas) -> float``.
+    """One-time engine dispatch on a problem: ``f(gammas, betas) -> float``.
 
-    Pays the engine choice -- and, on the lightcone path, the whole
-    structure-discovery/compile cost of the plan -- once, so optimizer
-    loops evaluate thousands of points without rebuilding anything.  Also
-    *fails fast*: when no exact engine can handle the problem at all, the
+    :func:`~repro.qaoa.expectation.dispatch_evaluator` with the problem's
+    engines: the statevector on the problem's own diagonal and, for
+    field-free problems, a lightcone plan (``max_qubits`` per lightcone)
+    plus the additive offset.  ``method`` is ``"auto"``,
+    ``"statevector"`` or ``"lightcone"``.  Pays the engine choice -- and
+    the plan compile -- once, and *fails fast*: the
     :class:`~repro.qaoa.expectation.EngineLimitError` is raised here,
     before any caller spends an optimization budget.  The returned
-    evaluator is only valid for depth-``p`` parameter vectors.
+    evaluator only accepts depth-``p`` parameter vectors.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    n = problem.num_qubits
 
-    def dense(gammas, betas):
-        return problem_expectation_reference(problem, gammas, betas)
-
-    if method == "statevector" or (method == "auto" and n <= exact_limit):
-        if n > MAX_DENSE_QUBITS:
-            raise EngineLimitError(
-                f"dense reference is limited to {MAX_DENSE_QUBITS} qubits, got {n}"
-            )
-        return dense
-    if method == "lightcone" or (method == "auto" and problem.is_field_free):
-        try:
-            plan, offset = problem_lightcone_plan(
-                problem, p, max_qubits=max_qubits, plan_cache=plan_cache
-            )
-            return lambda gammas, betas: plan.evaluate(
-                [float(g) for g in np.atleast_1d(gammas)],
-                [float(b) for b in np.atleast_1d(betas)],
-            ) + offset
-        except LightconeTooLargeError as exc:
-            if method == "auto" and n <= MAX_DENSE_QUBITS:
-                return dense
-            raise EngineLimitError(
-                f"problem with {n} qubits at p={p} is beyond exact "
-                f"simulation: {exc}"
-            ) from exc
-    if method == "auto":
-        if n <= MAX_DENSE_QUBITS:
-            return dense
-        raise EngineLimitError(
-            f"problem {problem.name!r} with {n} qubits carries linear fields; "
-            f"no exact engine beyond {MAX_DENSE_QUBITS} qubits"
+    def lightcone():
+        plan, offset = problem_lightcone_plan(
+            problem, p, max_qubits=max_qubits, plan_cache=plan_cache
         )
-    raise ValueError(f"unknown method {method!r}")
+        return lambda gammas, betas: plan.evaluate(gammas, betas) + offset
+
+    return dispatch_evaluator(
+        problem.num_qubits, p, method,
+        exact_limit=exact_limit,
+        dense=lambda: problem,
+        lightcone=lightcone,
+        field_free=problem.is_field_free,
+        name=f"problem {problem.name!r}",
+    )
 
 
 def problem_expectation(
@@ -170,7 +145,7 @@ def problem_expectation(
     point, one dispatch; callers pricing many points on one problem should
     hold on to :func:`problem_evaluator` instead.
     """
-    gammas, betas = _check_params(gammas, betas)
+    gammas, betas = coerce_params(gammas, betas)
     evaluate = problem_evaluator(
         problem, len(gammas), method=method,
         exact_limit=exact_limit, max_qubits=max_qubits,

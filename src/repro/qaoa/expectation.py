@@ -1,22 +1,38 @@
-"""Expectation-value dispatch: pick the right engine for the problem size.
+"""Expectation-value dispatch: one engine policy for every diagonal instance.
 
-``maxcut_expectation`` chooses among three exact engines, all of which
-honor the ``weight`` edge attribute (weighted MaxCut / random Ising):
+:func:`dispatch_evaluator` is the single policy behind both ideal
+evaluators -- :func:`maxcut_evaluator` here and
+:func:`repro.problems.expectation.problem_evaluator` -- and hence behind
+:func:`maxcut_expectation` and
+:func:`~repro.problems.expectation.problem_expectation`, which are one
+dispatch plus one evaluation.  Under ``auto`` the first engine that
+applies wins:
 
-========================  =========  ==========================================
-condition (``auto``)      engine     notes
-========================  =========  ==========================================
+========================  ===========  ======================================
+condition (``auto``)      engine       notes
+========================  ===========  ======================================
 ``n <= exact_limit``      statevector  :mod:`repro.qaoa.fast_sim`; exact for
-                                       any depth, weighted diagonal
-``p == 1`` (any size)     analytic     :mod:`repro.qaoa.analytic`; O(|E|)
-                                       unweighted closed form, or the weighted
-                                       product form (Ozaeta et al. 2022) when
-                                       any edge weight differs from 1
-otherwise                 lightcone    :mod:`repro.qaoa.lightcone`; per-edge
+                                       any depth and any diagonal (weights,
+                                       linear fields)
+``p == 1``, graphs only   analytic     :mod:`repro.qaoa.analytic`; O(|E|)
+                                       unweighted closed form, or the
+                                       weighted product form (Ozaeta et al.
+                                       2022) when any weight differs from 1
+field-free instance       lightcone    :mod:`repro.qaoa.lightcone`; per-edge
                                        ``w_uv P(cut)`` terms on weighted
-                                       distance-p subgraphs, memoized by a
-                                       canonical weighted signature
-========================  =========  ==========================================
+                                       distance-p subgraphs, compiled once
+                                       into a :class:`LightconePlan`
+``n <= 26``               statevector  dense fallback (``MAX_DENSE_QUBITS``)
+                                       when lightcones are too large or the
+                                       instance carries linear fields
+otherwise                 --           :class:`EngineLimitError`, raised at
+                                       dispatch, before any evaluation
+========================  ===========  ======================================
+
+Every engine honors the ``weight`` edge attribute (weighted MaxCut /
+random Ising).  Only what the chosen engine uses is built: callers pass
+builders, so a lightcone evaluator builds no Hamiltonian and a
+statevector evaluator compiles no plan.
 
 ``noisy_maxcut_expectation`` runs the fast Pauli-trajectory noisy path
 (statevector-based, so it also honors weights).
@@ -24,7 +40,7 @@ otherwise                 lightcone    :mod:`repro.qaoa.lightcone`; per-edge
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -35,18 +51,15 @@ from repro.qaoa.fast_sim import (
     noisy_qaoa_expectation_fast,
     qaoa_expectation_fast,
 )
-from repro.qaoa.hamiltonian import MaxCutHamiltonian
-from repro.qaoa.lightcone import (
-    LightconePlan,
-    LightconeTooLargeError,
-    PlanCache,
-    lightcone_expectation,
-)
+from repro.qaoa.hamiltonian import MAX_DENSE_QUBITS, MaxCutHamiltonian
+from repro.qaoa.lightcone import LightconePlan, LightconeTooLargeError, PlanCache
 from repro.utils.graphs import ensure_graph, relabel_to_range
 
 __all__ = [
     "EXACT_LIMIT",
     "EngineLimitError",
+    "coerce_params",
+    "dispatch_evaluator",
     "maxcut_evaluator",
     "maxcut_expectation",
     "noisy_maxcut_expectation",
@@ -60,41 +73,87 @@ class EngineLimitError(ValueError):
     """No exact engine can handle the requested (size, depth) combination."""
 
 
-def maxcut_expectation(
-    graph: nx.Graph,
-    gammas: Sequence[float],
-    betas: Sequence[float],
-    method: str = "auto",
-    exact_limit: int = EXACT_LIMIT,
-) -> float:
-    """Ideal QAOA MaxCut expectation with automatic engine choice.
-
-    ``method`` may be ``"auto"``, ``"statevector"``, ``"analytic"`` (p=1
-    only) or ``"lightcone"``.
-    """
-    ensure_graph(graph)
+def coerce_params(gammas, betas, p: int | None = None) -> tuple[list[float], list[float]]:
+    """``gammas``/``betas`` as float lists of one non-empty length (``p`` if given)."""
     gammas = [float(g) for g in np.atleast_1d(gammas)]
     betas = [float(b) for b in np.atleast_1d(betas)]
     if len(gammas) != len(betas) or not gammas:
         raise ValueError("gammas and betas must be non-empty and equal length")
-    p = len(gammas)
-    n = graph.number_of_nodes()
+    if p is not None and len(gammas) != p:
+        raise ValueError(
+            f"evaluator was built for p={p}, got {len(gammas)} gammas "
+            f"and {len(betas)} betas"
+        )
+    return gammas, betas
 
-    if method == "statevector" or (method == "auto" and n <= exact_limit):
-        hamiltonian = MaxCutHamiltonian(graph)
-        return qaoa_expectation_fast(hamiltonian, gammas, betas)
-    if method == "analytic" or (method == "auto" and p == 1):
+
+def dispatch_evaluator(
+    num_qubits: int,
+    p: int,
+    method: str,
+    *,
+    exact_limit: int,
+    dense: Callable[[], object],
+    lightcone: Callable[[], Callable[[list, list], float]],
+    field_free: bool = True,
+    analytic: Callable[[list, list], float] | None = None,
+    name: str = "instance",
+):
+    """The one engine-dispatch policy: a reusable ``f(gammas, betas) -> float``.
+
+    ``dense()`` builds the statevector target (anything with
+    ``num_qubits`` and ``diagonal``); ``lightcone()`` compiles a plan and
+    returns its raw evaluator, raising
+    :class:`~repro.qaoa.lightcone.LightconeTooLargeError` when some
+    lightcone is too large; ``analytic`` is the raw p=1 evaluator (graphs
+    only, ``None`` elsewhere).  ``method`` is ``"auto"`` (the policy in
+    the module docstring), ``"statevector"``, ``"lightcone"`` or, when
+    ``analytic`` is given, ``"analytic"``.
+
+    The engine choice -- and on the lightcone path the whole plan compile
+    -- is paid here, once; so is the failure: :class:`EngineLimitError`
+    is raised at dispatch when no exact engine applies.  The returned
+    evaluator only accepts depth-``p`` parameter vectors.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    auto = method == "auto"
+
+    def checked(engine):
+        return lambda gammas, betas: engine(*coerce_params(gammas, betas, p))
+
+    def statevector():
+        if num_qubits > MAX_DENSE_QUBITS:
+            raise EngineLimitError(
+                f"dense statevector is limited to {MAX_DENSE_QUBITS} qubits, "
+                f"got {num_qubits}"
+            )
+        target = dense()
+        return checked(lambda gammas, betas: qaoa_expectation_fast(target, gammas, betas))
+
+    if method == "statevector" or (auto and num_qubits <= exact_limit):
+        return statevector()
+    if analytic is not None and (method == "analytic" or (auto and p == 1)):
         if p != 1:
             raise ValueError("the analytic engine only supports p=1")
-        return maxcut_p1_expectation(graph, gammas[0], betas[0])
-    if method in ("lightcone", "auto"):
-        relabeled = relabel_to_range(graph)
+        return checked(analytic)
+    if method == "lightcone" or (auto and field_free):
         try:
-            return lightcone_expectation(relabeled, gammas, betas, max_qubits=exact_limit)
+            return checked(lightcone())
         except LightconeTooLargeError as exc:
+            if auto and num_qubits <= MAX_DENSE_QUBITS:
+                return statevector()
             raise EngineLimitError(
-                f"graph with {n} nodes at p={p} is beyond exact simulation: {exc}"
+                f"{name} with {num_qubits} qubits at p={p} is beyond exact "
+                f"simulation: {exc}"
             ) from exc
+    if auto:
+        if num_qubits <= MAX_DENSE_QUBITS:
+            return statevector()
+        raise EngineLimitError(
+            f"{name} with {num_qubits} qubits carries linear fields; "
+            f"no exact engine beyond {MAX_DENSE_QUBITS} qubits"
+        )
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -105,71 +164,51 @@ def maxcut_evaluator(
     exact_limit: int = EXACT_LIMIT,
     plan_cache: PlanCache | None = None,
 ):
-    """One-time engine dispatch: a reusable ``f(gammas, betas) -> float``.
+    """One-time engine dispatch on a MaxCut graph: ``f(gammas, betas) -> float``.
 
-    The graph-side twin of :func:`repro.problems.expectation.problem_evaluator`:
-    the engine choice -- and on the lightcone path the whole
-    structure-discovery/compile cost -- is paid once, so optimizer loops
-    price thousands of points without re-dispatching or rebuilding a plan
-    per call.  Every path produces bit-identical values to
-    :func:`maxcut_expectation` with the same ``method``.  ``plan_cache``
-    optionally shares compiled :class:`~repro.qaoa.lightcone.LightconePlan`
-    objects across evaluators (batch serving); pass canonically relabeled
-    graphs when sharing, as plan keys embed node labels.
-
-    Fails fast: :class:`EngineLimitError` is raised here, not at the first
-    evaluation, when no exact engine can handle the graph at depth ``p``.
-    The returned evaluator only accepts depth-``p`` parameter vectors.
+    :func:`dispatch_evaluator` with the graph's engines: the statevector
+    on :class:`MaxCutHamiltonian`, the analytic p=1 form, and a lightcone
+    plan (``exact_limit`` qubits per lightcone) on the relabeled graph.
+    ``method`` may be ``"auto"``, ``"statevector"``, ``"analytic"`` (p=1
+    only) or ``"lightcone"``.  ``plan_cache`` optionally shares compiled
+    :class:`~repro.qaoa.lightcone.LightconePlan` objects across evaluators
+    (batch serving); pass canonically relabeled graphs when sharing, as
+    plan keys embed node labels.
     """
     ensure_graph(graph)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    n = graph.number_of_nodes()
 
-    def coerce(gammas, betas) -> tuple[list[float], list[float]]:
-        gammas = [float(g) for g in np.atleast_1d(gammas)]
-        betas = [float(b) for b in np.atleast_1d(betas)]
-        if len(gammas) != len(betas) or len(gammas) != p:
-            raise ValueError(
-                f"evaluator was built for p={p}, got {len(gammas)} gammas "
-                f"and {len(betas)} betas"
-            )
-        return gammas, betas
+    def lightcone():
+        plan = LightconePlan.build_cached(
+            relabel_to_range(graph), p, max_qubits=exact_limit, cache=plan_cache
+        )
+        return plan.evaluate
 
-    if method == "statevector" or (method == "auto" and n <= exact_limit):
-        hamiltonian = MaxCutHamiltonian(graph)
+    return dispatch_evaluator(
+        graph.number_of_nodes(), p, method,
+        exact_limit=exact_limit,
+        dense=lambda: MaxCutHamiltonian(graph),
+        lightcone=lightcone,
+        analytic=lambda gammas, betas: maxcut_p1_expectation(graph, gammas[0], betas[0]),
+        name="graph",
+    )
 
-        def statevector(gammas, betas):
-            gammas, betas = coerce(gammas, betas)
-            return qaoa_expectation_fast(hamiltonian, gammas, betas)
 
-        return statevector
-    if method == "analytic" or (method == "auto" and p == 1):
-        if p != 1:
-            raise ValueError("the analytic engine only supports p=1")
+def maxcut_expectation(
+    graph: nx.Graph,
+    gammas: Sequence[float],
+    betas: Sequence[float],
+    method: str = "auto",
+    exact_limit: int = EXACT_LIMIT,
+) -> float:
+    """Ideal QAOA MaxCut expectation with automatic engine choice.
 
-        def analytic(gammas, betas):
-            gammas, betas = coerce(gammas, betas)
-            return maxcut_p1_expectation(graph, gammas[0], betas[0])
-
-        return analytic
-    if method in ("lightcone", "auto"):
-        relabeled = relabel_to_range(graph)
-        try:
-            plan = LightconePlan.build_cached(
-                relabeled, p, max_qubits=exact_limit, cache=plan_cache
-            )
-        except LightconeTooLargeError as exc:
-            raise EngineLimitError(
-                f"graph with {n} nodes at p={p} is beyond exact simulation: {exc}"
-            ) from exc
-
-        def lightcone(gammas, betas):
-            gammas, betas = coerce(gammas, betas)
-            return plan.evaluate(gammas, betas)
-
-        return lightcone
-    raise ValueError(f"unknown method {method!r}")
+    ``method`` is as for :func:`maxcut_evaluator`.  One point, one
+    dispatch; callers pricing many points on one graph should hold on to
+    :func:`maxcut_evaluator` instead.
+    """
+    gammas, betas = coerce_params(gammas, betas)
+    evaluate = maxcut_evaluator(graph, len(gammas), method=method, exact_limit=exact_limit)
+    return evaluate(gammas, betas)
 
 
 def noisy_maxcut_expectation(
@@ -189,8 +228,7 @@ def noisy_maxcut_expectation(
     """
     ensure_graph(graph)
     hamiltonian = MaxCutHamiltonian(graph)
-    gammas = [float(g) for g in np.atleast_1d(gammas)]
-    betas = [float(b) for b in np.atleast_1d(betas)]
+    gammas, betas = coerce_params(gammas, betas)
     return noisy_qaoa_expectation_fast(
         hamiltonian, gammas, betas, noise, trajectories=trajectories, shots=shots, seed=seed
     )

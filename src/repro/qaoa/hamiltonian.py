@@ -17,9 +17,11 @@ import numpy as np
 
 from repro.utils.graphs import edge_list, ensure_graph, is_weighted, relabel_to_range
 
-__all__ = ["MaxCutHamiltonian", "cut_diagonal", "cut_values"]
+__all__ = ["MAX_DENSE_QUBITS", "MaxCutHamiltonian", "cut_diagonal", "cut_values"]
 
-_MAX_DENSE_QUBITS = 26
+# The one dense-engine qubit cap: diagonal builders, engine dispatch and
+# the pipeline's readout guard all refuse to materialize 2**n beyond it.
+MAX_DENSE_QUBITS = 26
 # Basis states per block: 2**15 float64 values and terms (256 KB each) plus
 # one bool mask per in-block qubit (32 KB each) stay resident in L2.
 _BLOCK_QUBITS = 15
@@ -38,7 +40,7 @@ def cut_diagonal(num_qubits: int, pairs, weights) -> np.ndarray:
     order -- the arithmetic of the whole-vector shift-xor form -- so the
     result is bit-identical to it.
     """
-    if num_qubits > _MAX_DENSE_QUBITS:
+    if num_qubits > MAX_DENSE_QUBITS:
         raise ValueError(
             f"refusing to materialize 2**{num_qubits} cut values; "
             "use the analytic or lightcone engines for large graphs"

@@ -32,7 +32,7 @@ from repro.service.jobs import (
     canonical_problem_form,
     run_job,
 )
-from repro.service.scheduler import BatchReport, BatchScheduler, JobView
+from repro.service.scheduler import BatchReport, BatchScheduler, JobFailedError, JobView
 from repro.service.store import ResultStore
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "BatchScheduler",
     "Campaign",
     "CampaignReport",
+    "JobFailedError",
     "JobResult",
     "JobSpec",
     "JobView",

@@ -55,7 +55,11 @@ from repro.service.jobs import JobResult, JobSpec
 from repro.service.store import ResultStore
 from repro.utils.graphs import average_node_strength
 
-__all__ = ["BatchReport", "BatchScheduler", "JobView"]
+__all__ = ["BatchReport", "BatchScheduler", "JobFailedError", "JobView"]
+
+
+class JobFailedError(RuntimeError):
+    """A batch job ended dead-lettered; the message names the job and its error."""
 
 
 @dataclass
@@ -273,7 +277,7 @@ class BatchScheduler:
                 on_result(spec, result)
 
         def dead(spec, error):
-            raise RuntimeError(f"job {spec.label or spec.fingerprint} failed: {error}")
+            raise JobFailedError(f"job {spec.label or spec.fingerprint} failed: {error}")
 
         tracer = get_tracer()
         pool = make_pool(

@@ -21,6 +21,7 @@ import networkx as nx
 from repro.core.pipeline import RedQAOA
 from repro.core.reduction import GraphReducer
 from repro.datasets import attach_weights, problem_instance, random_connected_gnp
+from repro.problems.encodings import maxcut_problem
 from repro.qaoa.fast_sim import FastNoiseSpec
 from repro.quantum.backends import get_backend
 from repro.service import JobSpec, run_job
@@ -54,6 +55,13 @@ def job_specs() -> dict[str, JobSpec]:
     specs["mis-n14-p1-finetune"] = JobSpec(
         problem=problem_instance("mis", 14, seed=8), p=1, seed=8,
         finetune_maxiter=6, **CONFIG,
+    )
+    # Lightcone-sized: a sparse n=40 graph and its DiagonalProblem twin
+    # (readout is skipped above the dense cap).
+    sparse = nx.random_regular_graph(3, 40, seed=40)
+    specs["maxcut-n40-p2-lightcone"] = JobSpec(graph=sparse, p=2, seed=40, **CONFIG)
+    specs["maxcut-problem-n40-p2-lightcone"] = JobSpec(
+        problem=maxcut_problem(sparse), p=2, seed=40, **CONFIG
     )
     return specs
 

@@ -109,6 +109,24 @@ class TestBatch:
         with pytest.raises(SystemExit):
             main(["batch", "manifest.json", "--suite", "mis"])
 
+    def test_failed_job_is_a_one_line_error(self):
+        # SK n=30 at p=2: lightcones span the graph and n exceeds the dense cap.
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--suite", "sk", "-n", "30", "--p", "2", "--count", "1"])
+        message = str(exc.value.code)
+        assert message.startswith("error: job sk-n30-s0 failed: EngineLimitError: ")
+        assert "\n" not in message
+
+    def test_unrelated_errors_are_not_swallowed(self, monkeypatch):
+        from repro.service import Campaign
+
+        def broken(self, on_result=None):
+            raise RuntimeError("not a job failure")
+
+        monkeypatch.setattr(Campaign, "run", broken)
+        with pytest.raises(RuntimeError, match="not a job failure"):
+            main(["batch", "--suite", "mis", "--count", "1", "-n", "8"])
+
     def test_suite_end_to_end_with_store_resume(self, tmp_path, capsys):
         store = str(tmp_path / "store.jsonl")
         args = [

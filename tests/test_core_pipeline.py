@@ -190,3 +190,24 @@ class TestWeightedPipeline:
         assert all(
             "weight" in d for _, _, d in reduction.reduced_graph.edges(data=True)
         )
+
+
+class TestDenseFallback:
+    def test_dense_graph_beyond_lightcones_runs_on_the_statevector(self):
+        """n=22 G(n, 0.5) at p=2: every lightcone is too large, so the job
+        is priced on the dense fallback and reads out on its 2**22 state."""
+        from repro.datasets import random_connected_gnp
+        from repro.qaoa.expectation import maxcut_expectation
+        from repro.service import JobSpec, run_job
+
+        spec = JobSpec(
+            graph=random_connected_gnp(22, 0.5, seed=0), p=2, seed=0,
+            restarts=1, maxiter=10,
+        )
+        result = run_job(spec)
+        exact = maxcut_expectation(
+            spec.canonical().instance, result.gammas, result.betas,
+            method="statevector",
+        )
+        assert result.expectation == exact
+        assert len(result.bits) == 22 and np.isfinite(result.best_value)

@@ -48,6 +48,19 @@ class TestFlightRecorder:
         assert rec.maybe_record() is False
         assert len(load_history(rec.path)) == 1
 
+    def test_first_record_due_on_freshly_booted_host(self, tmp_path, monkeypatch):
+        # time.monotonic() may count from boot: a host up for 5 s must
+        # still take its first snapshot at once under a 1-hour interval.
+        clock = {"now": 5.0}
+        monkeypatch.setattr("repro.obs.history.time.monotonic", lambda: clock["now"])
+        rec = _recorder(tmp_path, interval=3600.0)
+        assert rec.maybe_record() is True
+        clock["now"] += 1.0
+        assert rec.maybe_record() is False
+        clock["now"] += 3600.0
+        assert rec.maybe_record() is True
+        assert len(load_history(rec.path)) == 2
+
     def test_ring_rotates_and_bounds_total_size(self, tmp_path):
         registry = _registry()
         # Each record is a few hundred bytes; a tiny ring forces rotation.

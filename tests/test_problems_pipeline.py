@@ -148,24 +148,32 @@ class TestPipelineProblems:
         with pytest.raises(EngineLimitError, match="linear fields"):
             problem_expectation(big, [0.1], [0.2])
 
-    def test_run_problem_fails_fast_on_unevaluable_instances(self):
+    @pytest.mark.parametrize("kind", ["problem", "graph"])
+    def test_run_problem_fails_fast_on_unevaluable_instances(self, kind):
         """Unsupported instances are rejected before any budget is spent."""
         from repro.problems import DiagonalProblem
 
-        big = DiagonalProblem(
-            30, {(u, u + 1): 1.0 for u in range(29)}, fields={0: 1.0}
-        )
-        pipeline = RedQAOA(seed=0)
+        if kind == "problem":
+            big = DiagonalProblem(
+                30, {(u, u + 1): 1.0 for u in range(29)}, fields={0: 1.0}
+            )
+            inputs, match = {"problem": big}, "linear fields"
+        else:
+            # Dense: every p=2 lightcone spans the whole 30-node graph.
+            inputs, match = {"graph": nx.complete_graph(30)}, "beyond exact"
+        pipeline = RedQAOA(p=2, seed=0)
         calls = {"count": 0}
-        original = pipeline.reducer.reduce_problem
+        reducer = pipeline.reducer
+        for name in ("reduce", "reduce_problem"):
+            original = getattr(reducer, name)
 
-        def counting(problem, target_size=None):
-            calls["count"] += 1
-            return original(problem, target_size)
+            def counting(instance, target_size=None, original=original):
+                calls["count"] += 1
+                return original(instance, target_size)
 
-        pipeline.reducer.reduce_problem = counting
-        with pytest.raises(EngineLimitError, match="linear fields"):
-            pipeline.run(problem=big)
+            setattr(reducer, name, counting)
+        with pytest.raises(EngineLimitError, match=match):
+            pipeline.run(**inputs)
         assert calls["count"] == 0  # raised before reduction started
 
     def test_problem_evaluator_reused_and_matches_expectation(self):

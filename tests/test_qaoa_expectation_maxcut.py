@@ -6,6 +6,7 @@ import pytest
 
 from repro.qaoa.expectation import (
     EngineLimitError,
+    maxcut_evaluator,
     maxcut_expectation,
     noisy_maxcut_expectation,
 )
@@ -70,6 +71,31 @@ class TestDispatcher:
         g = nx.Graph([("x", "y"), ("y", "z")])
         value = maxcut_expectation(g, [0.5], [0.3])
         assert 0 <= value <= 2
+
+    def test_dense_graph_falls_back_to_statevector(self):
+        # p=2 lightcones of a 22-node G(n, 0.5) span the whole graph.
+        g = _connected_er(22, 0.5, seed=0)
+        auto = maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7])
+        assert auto == maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7], method="statevector")
+        with pytest.raises(EngineLimitError):
+            maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7], method="lightcone")
+
+    @pytest.mark.parametrize("kind", ["graph", "problem"])
+    @pytest.mark.parametrize("method", ["statevector", "lightcone"])
+    def test_evaluators_reject_wrong_depth(self, kind, method):
+        from repro.problems import max_independent_set_problem, maxcut_problem
+        from repro.problems.expectation import problem_evaluator
+
+        g = nx.random_regular_graph(3, 12, seed=0)
+        if kind == "graph":
+            evaluate = maxcut_evaluator(g, 2, method=method)
+        elif method == "statevector":
+            evaluate = problem_evaluator(max_independent_set_problem(g), 2, method=method)
+        else:
+            evaluate = problem_evaluator(maxcut_problem(g), 2, method=method)
+        assert np.isfinite(evaluate([0.5, 0.9], [0.3, 0.7]))
+        with pytest.raises(ValueError, match="p=2"):
+            evaluate([0.5], [0.3])
 
     def test_noisy_wrapper(self):
         g = _connected_er(7, 0.4, 5)
