@@ -43,7 +43,12 @@ from repro.qaoa.fast_sim import (
     qaoa_probabilities,
 )
 from repro.qaoa.hamiltonian import MAX_DENSE_QUBITS, MaxCutHamiltonian
-from repro.qaoa.optimizer import OptimizationTrace, cobyla_optimize, multi_restart_optimize
+from repro.qaoa.optimizer import (
+    OptimizationTrace,
+    cobyla_optimize,
+    multi_restart_optimize,
+    restart_width,
+)
 from repro.utils.graphs import ensure_graph, relabel_to_range
 from repro.utils.rng import as_generator
 
@@ -164,32 +169,37 @@ class RedQAOA:
 
         One restart warm-starts from the degree-indexed lookup when
         enabled; a subproblem without couplings has no graph to look up,
-        so its restarts stay random.
+        so its restarts stay random.  Ideal runs spread the random
+        restarts over :func:`~repro.qaoa.optimizer.restart_width`
+        processes, bit-identically; noisy objectives draw from
+        ``self._rng`` on every evaluation, so they stay sequential.
         """
         if isinstance(reduction, ProblemReductionResult):
             reduced = reduction.subproblem
             warm_start_graph = reduced.coupling_graph() if reduced.num_couplings else None
         else:
             reduced = warm_start_graph = reduction.reduced_graph
-        objective = self._objective(reduced)
         traces: list[OptimizationTrace] = []
-        random_restarts = self.restarts
-        if self.warm_start and warm_start_graph is not None:
-            initial = self._warm_start_vector(warm_start_graph)
-            traces.append(
-                cobyla_optimize(
-                    objective, self.p, initial=initial,
-                    maxiter=self.maxiter, seed=self._rng,
+        warm = self.warm_start and warm_start_graph is not None
+        random_restarts = self.restarts - 1 if warm else self.restarts
+        width = restart_width(random_restarts) if self.noise is None else 1
+        with span("optimize", restarts=self.restarts, width=width):
+            objective = self._objective(reduced)
+            if warm:
+                initial = self._warm_start_vector(warm_start_graph)
+                traces.append(
+                    cobyla_optimize(
+                        objective, self.p, initial=initial,
+                        maxiter=self.maxiter, seed=self._rng,
+                    )
                 )
-            )
-            random_restarts -= 1
-        if random_restarts > 0:
-            traces.extend(
-                multi_restart_optimize(
-                    objective, self.p, restarts=random_restarts,
-                    maxiter=self.maxiter, seed=self._rng,
+            if random_restarts > 0:
+                traces.extend(
+                    multi_restart_optimize(
+                        objective, self.p, restarts=random_restarts,
+                        maxiter=self.maxiter, seed=self._rng, width=width,
+                    )
                 )
-            )
         return traces
 
     def _warm_start_vector(self, graph: nx.Graph) -> np.ndarray:
@@ -253,8 +263,7 @@ class RedQAOA:
                     reduction = self.reduce(graph)
                 else:
                     reduction = self.reducer.reduce_problem(problem)
-        with span("optimize"):
-            traces = self.optimize_reduced(reduction)
+        traces = self.optimize_reduced(reduction)
         best_trace = max(traces, key=lambda t: t.best_value)
         gammas, betas = best_trace.best_parameters
 

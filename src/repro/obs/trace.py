@@ -119,6 +119,12 @@ class Tracer:
     def current_job(self) -> str | None:
         return getattr(self._local, "job", None)
 
+    @property
+    def current_span(self) -> str | None:
+        """Id of the innermost span this thread has open, if any."""
+        stack = self._stack()
+        return stack[-1] if stack else None
+
     # -- recording -----------------------------------------------------------
 
     def emit(self, record: dict) -> None:
@@ -466,6 +472,8 @@ def summarize_trace(path: str | os.PathLike) -> dict:
       coverage);
     - ``self_stages``: name -> seconds of *self time* (span minus its
       children) across all depths -- where the clock actually went;
+    - ``span_counts``: name -> number of spans across all depths (two
+      concurrent ``restart`` spans show as 2, not as their overlap);
     - ``coverage``: direct-children time / root time;
     - ``critical_path``: stage names along the longest child at each
       level of the slowest job;
@@ -481,6 +489,7 @@ def summarize_trace(path: str | os.PathLike) -> dict:
     covered_ns = 0
     stages: dict[str, dict] = {}
     self_stages: dict[str, float] = {}
+    span_counts: dict[str, int] = {}
     slowest: dict | None = None
     slowest_tree: dict | None = None
     jobs = 0
@@ -508,6 +517,7 @@ def summarize_trace(path: str | os.PathLike) -> dict:
             self_stages[record["name"]] = (
                 self_stages.get(record["name"], 0.0) + self_ns / 1e9
             )
+            span_counts[record["name"]] = span_counts.get(record["name"], 0) + 1
 
     for entry in stages.values():
         entry["share"] = entry["seconds"] * 1e9 / wall_ns if wall_ns else 0.0
@@ -530,6 +540,7 @@ def summarize_trace(path: str | os.PathLike) -> dict:
         "wall_seconds": wall_ns / 1e9,
         "stages": dict(sorted(stages.items(), key=lambda kv: -kv[1]["seconds"])),
         "self_stages": dict(sorted(self_stages.items(), key=lambda kv: -kv[1])),
+        "span_counts": span_counts,
         "coverage": covered_ns / wall_ns if wall_ns else 1.0,
         "critical_path": critical_path,
         "cache": cache,
@@ -573,7 +584,9 @@ def format_summary(summary: dict) -> str:
         lines.append("")
         lines.append("self time (all depths):")
         for name, seconds in summary["self_stages"].items():
-            lines.append(f"  {name:<14} {seconds:>10.3f}s")
+            lines.append(
+                f"  {name:<14} {seconds:>10.3f}s  x{summary['span_counts'].get(name, 0)}"
+            )
     if summary["critical_path"]:
         lines.append("")
         lines.append("critical path (slowest job): " + " -> ".join(summary["critical_path"]))

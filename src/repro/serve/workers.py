@@ -46,6 +46,7 @@ from repro.obs.log import NullLog
 from repro.obs.metrics import JOB_BUCKETS, REGISTRY, STAGE_BUCKETS, snapshot_delta
 from repro.obs.trace import Tracer, get_tracer, install_tracer, span, using_tracer
 from repro.qaoa.lightcone import PlanCache
+from repro.qaoa.optimizer import hold_restarts_sequential
 from repro.serve.queue import ShardClaim, ShardedJobQueue
 from repro.service.jobs import JobResult, run_job
 
@@ -229,8 +230,14 @@ class InlineWorkerPool:
         self._events.clear()
 
 
-def _process_worker_main(conn, fault: CrashPoint | None, trace: bool) -> None:
-    """Worker loop: receive claims, stream per-job messages back."""
+def _process_worker_main(
+    conn, fault: CrashPoint | None, trace: bool, sequential: bool
+) -> None:
+    """Worker loop: receive claims, stream per-job messages back.
+
+    ``sequential`` (set when sibling workers share the CPUs) keeps each
+    job's restarts in this process.
+    """
     # The daemon's Ctrl-C must not tear workers down mid-job; orderly
     # shutdown arrives as a "stop" message (or EOF when the parent died).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -238,6 +245,8 @@ def _process_worker_main(conn, fault: CrashPoint | None, trace: bool) -> None:
     # write the trace file directly (interleaved appends, duplicate
     # trees) -- its spans ship over the pipe instead.
     install_tracer(None)
+    if sequential:
+        hold_restarts_sequential()
     plan_cache = PlanCache()
     while True:
         try:
@@ -268,14 +277,16 @@ def _process_worker_main(conn, fault: CrashPoint | None, trace: bool) -> None:
 
 
 class _Worker:
-    def __init__(self, worker_id: int, fault: CrashPoint | None, trace: bool) -> None:
+    def __init__(
+        self, worker_id: int, fault: CrashPoint | None, trace: bool, sequential: bool
+    ) -> None:
         self.id = worker_id
         self.claim_id: int | None = None
         parent_conn, child_conn = multiprocessing.Pipe()
         self.conn = parent_conn
         self.process = multiprocessing.Process(
             target=_process_worker_main,
-            args=(child_conn, fault, trace),
+            args=(child_conn, fault, trace, sequential),
             name=f"repro-serve-worker-{worker_id}",
             daemon=True,
         )
@@ -288,6 +299,9 @@ class ProcessWorkerPool:
 
     ``trace`` makes workers collect per-job spans (shipped back with each
     result); ``log`` receives respawn events.  Neither affects results.
+    With more than one worker, the workers already share the CPUs, so each
+    runs a job's restarts sequentially; a lone worker may fork restart
+    children (:func:`~repro.qaoa.optimizer.restart_width`).
     """
 
     def __init__(
@@ -306,7 +320,7 @@ class ProcessWorkerPool:
         self.respawns = 0
         self._ids = iter(range(1, 1_000_000))
         self._pool: list[_Worker] = [
-            _Worker(next(self._ids), fault, trace) for _ in range(workers)
+            _Worker(next(self._ids), fault, trace, workers > 1) for _ in range(workers)
         ]
         self._pending: list[WorkerEvent] = []  # crashes detected at dispatch
         self._closed = False
@@ -413,7 +427,7 @@ class ProcessWorkerPool:
         worker.process.join(timeout=5)
         self._pool.remove(worker)
         if not self._closed:
-            self._pool.append(_Worker(next(self._ids), self.fault, self.trace))
+            self._pool.append(_Worker(next(self._ids), self.fault, self.trace, self.workers > 1))
             self.respawns += 1
             _RESPAWNS.inc()
             self.log.info(

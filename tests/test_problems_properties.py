@@ -11,7 +11,7 @@ weighted-MaxCut engine.
 
 import networkx as nx
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.problems import (
@@ -135,8 +135,13 @@ def test_property_partition_and_sk_diagonals(n, seed):
     p=st.integers(min_value=1, max_value=2),
     seed=st.integers(min_value=0, max_value=10**6),
 )
+@example(n=10, p=2, seed=1275)  # partition value ~ -796: 1.02e-10 absolute, 1.3e-13 relative
 def test_property_fastsim_matches_dense_reference_all_encodings(n, p, seed):
-    """Engine parity: every encoding's expectation matches the dense oracle."""
+    """Engine parity: every encoding's expectation matches the dense oracle.
+
+    The bound is relative beyond magnitude 1 (partition values reach the
+    hundreds), and the absolute 1e-10 it always was below that.
+    """
     rng = np.random.default_rng(seed)
     graph = _connected_er(n, 0.4, seed)
     problems = [
@@ -152,7 +157,7 @@ def test_property_fastsim_matches_dense_reference_all_encodings(n, p, seed):
     for problem in problems:
         reference = problem_expectation_reference(problem, gammas, betas)
         auto = problem_expectation(problem, gammas, betas, exact_limit=2)
-        assert abs(auto - reference) < 1e-10, problem.name
+        assert abs(auto - reference) < 1e-10 * max(1.0, abs(reference)), problem.name
         # The dense observable expectation is bounded by the diagonal range.
         low, high = problem.diagonal.min(), problem.diagonal.max()
         assert low - 1e-9 <= reference <= high + 1e-9
