@@ -13,10 +13,17 @@ A100 nodes); each module states its settings in the printed header.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 
-__all__ = ["connected_er", "header", "row", "run_once"]
+__all__ = ["BENCH_DIR", "connected_er", "header", "row", "run_once", "write_bench"]
+
+#: Gitignored home of fresh ``BENCH_pr*.json`` (the PR 3-6 ones are frozen
+#: in ``benchmarks/history/``), so a test run leaves tracked files alone.
+BENCH_DIR = Path(__file__).resolve().parent.parent / ".benchmarks"
 
 
 def connected_er(num_nodes: int, probability: float, seed: int) -> nx.Graph:
@@ -58,3 +65,9 @@ def run_once(benchmark, fn):
     for multi-round timing; pedantic mode records a single-round wall time.
     """
     return benchmark.pedantic(fn, iterations=1, rounds=1)
+
+
+def write_bench(path: Path, results: dict) -> None:
+    """Write one ``BENCH_*.json`` record, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(results, indent=2) + "\n")

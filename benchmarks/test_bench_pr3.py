@@ -1,34 +1,34 @@
 """PR 3 performance tracking: incremental annealer + lightcone plan.
 
-Measures the two rewritten hot paths against their retained baselines on
-this box and emits ``BENCH_pr3.json`` at the repo root, so the perf
-trajectory is tracked from this PR onward:
+Measures the two rewritten hot paths against their per-call reference
+forms (the oracles in ``tests/_kernel_oracles.py``) and emits
+``.benchmarks/BENCH_pr3.json``:
 
 - SA reducer steps/sec at n in {100, 400, 1000} (connected ER instances,
-  same sizing rule as the Fig. 18 runtime study), incremental engine vs
-  the retained per-call networkx reference;
+  same sizing rule as the Fig. 18 runtime study), incremental state vs
+  the per-call networkx state, both through the library's annealing
+  driver;
 - lightcone landscape points/sec on a 64-node 3-regular graph at p=2 over
-  384 random parameter sets, plan/evaluate engine vs the retained
-  per-call engine (timed on a subset -- it re-discovers structure every
-  point -- and extrapolated per point).
+  384 random parameter sets, plan/evaluate engine vs the per-call engine
+  (timed on a subset -- it re-discovers structure every point -- and
+  extrapolated per point).
 
 Acceptance floors from the issue: >= 5x reducer steps/sec at n=400 and
 >= 10x lightcone points/sec, with the two engines agreeing to 1e-12.
 """
 
-import json
 import os
-from pathlib import Path
+import time
 
 import networkx as nx
 import numpy as np
 
-from _common import header, row, run_once
-from repro.analysis.runtime import (
-    benchmark_graph,
-    measure_annealer_rate,
-    measure_lightcone_rate,
-)
+from _common import BENCH_DIR, header, row, run_once, write_bench
+from _kernel_oracles import lightcone_expectation_reference, reference_simulated_annealing
+from repro.analysis.runtime import benchmark_graph
+from repro.core.annealer import simulated_annealing
+from repro.qaoa.landscape import sample_parameter_sets
+from repro.qaoa.lightcone import LightconePlan
 
 SA_SIZES = (100, 400, 1000)
 SA_STEPS_INCREMENTAL = 1000
@@ -39,55 +39,65 @@ LIGHTCONE_P = 2
 LIGHTCONE_POINTS = 384
 LIGHTCONE_REFERENCE_POINTS = 6
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr3.json"
+OUTPUT = BENCH_DIR / "BENCH_pr3.json"
+
+
+def _timed(fn):
+    """``(seconds, fn())``."""
+    start = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - start, value
+
+
+def _steps_per_sec(anneal, graph, max_steps):
+    """Steps/sec at ``k = 0.7 n``: a fixed budget under slow constant cooling
+    keeps the run step-bound, so rates compare across implementations."""
+    k = max(2, int(0.7 * graph.number_of_nodes()))
+    seconds, result = _timed(
+        lambda: anneal(graph, k, cooling="constant", seed=0, max_steps=max_steps)
+    )
+    return result.steps / seconds
 
 
 def _sa_section():
     section = {}
     for n in SA_SIZES:
         graph = benchmark_graph(n, seed=1)
-        fast = measure_annealer_rate(
-            graph, max_steps=SA_STEPS_INCREMENTAL, seed=0, annealer="incremental"
-        )
-        slow = measure_annealer_rate(
-            graph, max_steps=SA_STEPS_REFERENCE[n], seed=0, annealer="reference"
-        )
+        fast = _steps_per_sec(simulated_annealing, graph, SA_STEPS_INCREMENTAL)
+        slow = _steps_per_sec(reference_simulated_annealing, graph, SA_STEPS_REFERENCE[n])
         section[str(n)] = {
-            "incremental_steps_per_sec": fast["steps_per_sec"],
-            "reference_steps_per_sec": slow["steps_per_sec"],
-            "speedup": fast["steps_per_sec"] / slow["steps_per_sec"],
+            "incremental_steps_per_sec": fast,
+            "reference_steps_per_sec": slow,
+            "speedup": fast / slow,
         }
     return section
 
 
 def _lightcone_section():
     graph = nx.random_regular_graph(LIGHTCONE_DEGREE, LIGHTCONE_NODES, seed=0)
-    from repro.qaoa.landscape import sample_parameter_sets
-
-    points = sample_parameter_sets(LIGHTCONE_P, LIGHTCONE_POINTS, seed=0)
-    plan = measure_lightcone_rate(
-        graph, LIGHTCONE_P, LIGHTCONE_POINTS, engine="plan", parameter_sets=points
+    gammas, betas = sample_parameter_sets(LIGHTCONE_P, LIGHTCONE_POINTS, seed=0)
+    plan_seconds, plan_values = _timed(
+        lambda: LightconePlan.build(graph, LIGHTCONE_P).evaluate_batch(gammas, betas)
     )
-    percall = measure_lightcone_rate(
-        graph, LIGHTCONE_P, LIGHTCONE_REFERENCE_POINTS, engine="percall",
-        parameter_sets=points,
-    )
-    # The subsets share a seed, so the leading values must agree: the
+    subset = slice(LIGHTCONE_REFERENCE_POINTS)
+    percall_seconds, percall_values = _timed(lambda: np.array([
+        lightcone_expectation_reference(graph, g, b)
+        for g, b in zip(gammas[subset], betas[subset])
+    ]))
+    plan_rate = LIGHTCONE_POINTS / plan_seconds
+    percall_rate = LIGHTCONE_REFERENCE_POINTS / percall_seconds
+    # The subset is the leading points, so its values must agree: the
     # speedup claim only counts if both engines price the same landscape.
-    agreement = float(
-        np.abs(
-            plan["values"][:LIGHTCONE_REFERENCE_POINTS] - percall["values"]
-        ).max()
-    )
+    agreement = float(np.abs(plan_values[subset] - percall_values).max())
     return {
         "nodes": LIGHTCONE_NODES,
         "degree": LIGHTCONE_DEGREE,
         "p": LIGHTCONE_P,
         "points": LIGHTCONE_POINTS,
-        "plan_points_per_sec": plan["points_per_sec"],
-        "percall_points_per_sec": percall["points_per_sec"],
+        "plan_points_per_sec": plan_rate,
+        "percall_points_per_sec": percall_rate,
         "percall_points_timed": LIGHTCONE_REFERENCE_POINTS,
-        "speedup": plan["points_per_sec"] / percall["points_per_sec"],
+        "speedup": plan_rate / percall_rate,
         "max_value_disagreement": agreement,
     }
 
@@ -97,7 +107,7 @@ def test_bench_pr3_emit(benchmark):
         return {"sa_reducer": _sa_section(), "lightcone": _lightcone_section()}
 
     results = run_once(benchmark, experiment)
-    OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
+    write_bench(OUTPUT, results)
 
     header(
         "PR 3: incremental annealer + lightcone plan speedups",

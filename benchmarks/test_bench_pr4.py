@@ -3,7 +3,7 @@
 Exercises the generalized pipeline on the two acceptance workloads --
 Max-Independent-Set (field-carrying penalty encoding) and an SK spin glass
 (field-free, all-to-all couplings) -- at 24 qubits, and emits
-``BENCH_pr4.json`` at the repo root:
+``BENCH_pr4.json`` into ``.benchmarks/``:
 
 - **SA-reduction quality**: the annealed coupling-graph subproblem versus
   a random connected subgraph of the same size, compared on field-aware
@@ -19,12 +19,10 @@ than the random subgraph's, transfer lands within the problem's value
 range, and sampled solutions recover a large fraction of the optimum.
 """
 
-import json
-from pathlib import Path
 
 import numpy as np
 
-from _common import header, row, run_once
+from _common import BENCH_DIR, header, row, run_once, write_bench
 from repro.core.reduction import GraphReducer
 from repro.datasets import problem_instance
 from repro.problems import problem_expectation
@@ -42,7 +40,7 @@ WORKLOADS = {
     "sk": dict(),
 }
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr4.json"
+OUTPUT = BENCH_DIR / "BENCH_pr4.json"
 
 
 def _optimize_and_transfer(problem, subproblem, p, seed):
@@ -156,4 +154,4 @@ def test_bench_pr4_emit(benchmark):
         }
 
     results = run_once(benchmark, experiment)
-    OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
+    write_bench(OUTPUT, results)

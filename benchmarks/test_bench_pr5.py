@@ -13,28 +13,26 @@ instances, and config scans over shared instances:
 - **resumed**: a second scheduler against the same store file, as a fresh
   process would see it.
 
-Emits ``BENCH_pr5.json``.  Acceptance asserted: batched wall-clock beats
+Emits ``.benchmarks/BENCH_pr5.json``.  Acceptance asserted: batched wall-clock beats
 sequential by >= 2x (gated by ``BENCH_STRICT``), the resumed campaign
 re-runs 0 jobs (store hit counters), and per-job results are bit-identical
 across all three executions -- the scheduler may only remove work, never
 change an answer.
 """
 
-import json
 import os
 import tempfile
 import time
-from pathlib import Path
 
 import networkx as nx
 import numpy as np
 
-from _common import header, row, run_once
+from _common import BENCH_DIR, header, row, run_once, write_bench
 from repro.datasets import attach_weights, problem_instance, random_connected_gnp
 from repro.problems import DiagonalProblem, maxcut_problem
 from repro.service import BatchScheduler, JobSpec, ResultStore, run_job
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
+OUTPUT = BENCH_DIR / "BENCH_pr5.json"
 
 MAXCUT_NODES = 14
 PROBLEM_NODES = 12
@@ -176,7 +174,7 @@ def _experiment():
 
 def test_bench_pr5_emit(benchmark):
     results = run_once(benchmark, _experiment)
-    OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
+    write_bench(OUTPUT, results)
 
     header(
         "PR5 batch serving: 32-job manifest with duplicates",

@@ -10,7 +10,7 @@ over its unix socket at 1, 2, and 4 process workers, measuring:
   a client sees its first answer while the rest of the manifest is still
   executing.
 
-Emits ``BENCH_pr6.json``.  Correctness asserted unconditionally: every
+Emits ``.benchmarks/BENCH_pr6.json``.  Correctness asserted unconditionally: every
 worker count returns bit-identical per-job results, equal to sequential
 ``run_job`` oracles.  The >= 1.8x 4-worker throughput floor is asserted
 only when ``BENCH_STRICT`` is on *and* the machine has >= 4 CPUs --
@@ -18,19 +18,17 @@ process workers cannot beat one worker on a 1-core box, so the JSON
 records ``cpu_count`` and whether the floor was checked.
 """
 
-import json
 import os
 import tempfile
 import threading
 import time
-from pathlib import Path
 
-from _common import header, row, run_once
+from _common import BENCH_DIR, header, row, run_once, write_bench
 from repro.datasets import attach_weights, random_connected_gnp
 from repro.serve import ServeClient, ServeDaemon, wait_for_socket
 from repro.service import JobSpec, run_job
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
+OUTPUT = BENCH_DIR / "BENCH_pr6.json"
 
 NUM_JOBS = 16
 NODES = 14
@@ -171,7 +169,7 @@ def test_bench_pr6_emit(benchmark):
     strict = os.environ.get("BENCH_STRICT", "1") != "0"
     floor_checked = strict and (results["cpu_count"] or 1) >= 4
     results["floor_checked"] = floor_checked
-    OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
+    write_bench(OUTPUT, results)
 
     header(
         "PR6 serve daemon: 16-job dedup-free manifest over the socket",

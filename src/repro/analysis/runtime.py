@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.annealer import reference_simulated_annealing, simulated_annealing
 from repro.core.reduction import GraphReducer
 from repro.datasets.random_graphs import random_connected_gnp
+from repro.qaoa.expectation import EXACT_LIMIT
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "benchmark_graph",
     "estimate_pipeline_cost",
     "fit_nlogn",
-    "measure_annealer_rate",
-    "measure_lightcone_rate",
     "measure_preprocessing_times",
     "per_circuit_execution_time",
 ]
@@ -48,14 +46,11 @@ def measure_preprocessing_times(
     edge_probability: float | None = None,
     seed: int | np.random.Generator | None = 0,
     repeats: int = 1,
-    annealer: str = "incremental",
 ) -> list[tuple[int, float]]:
     """Wall-clock GraphReducer times on connected ER graphs of ``sizes``.
 
     ``edge_probability`` defaults per size as in :func:`benchmark_graph`.
-    ``annealer`` selects the reducer's engine (the ``"reference"`` baseline
-    exists for before/after speedup tracking).  Returns ``[(n, seconds),
-    ...]`` with the minimum over ``repeats`` runs.
+    Returns ``[(n, seconds), ...]`` with the minimum over ``repeats`` runs.
     """
     rng = as_generator(seed)
     results: list[tuple[int, float]] = []
@@ -67,91 +62,12 @@ def measure_preprocessing_times(
             graph = benchmark_graph(int(n), seed=rng)
         best = math.inf
         for _ in range(max(1, repeats)):
-            reducer = GraphReducer(seed=rng, annealer=annealer)
+            reducer = GraphReducer(seed=rng)
             start = time.perf_counter()
             reducer.reduce(graph)
             best = min(best, time.perf_counter() - start)
         results.append((int(n), best))
     return results
-
-
-def measure_annealer_rate(
-    graph,
-    keep_fraction: float = 0.7,
-    max_steps: int = 1000,
-    seed: int | np.random.Generator | None = 0,
-    annealer: str = "incremental",
-) -> dict:
-    """Annealing steps per second on ``graph`` for one engine.
-
-    Runs :func:`~repro.core.annealer.simulated_annealing` (or the retained
-    reference) at ``k = keep_fraction * n`` with a fixed step budget and a
-    slow constant cooling, so the run is step-bound rather than
-    freeze-bound and the rate is comparable across engines.
-    """
-    anneal = (
-        simulated_annealing if annealer == "incremental" else reference_simulated_annealing
-    )
-    k = max(2, int(keep_fraction * graph.number_of_nodes()))
-    start = time.perf_counter()
-    result = anneal(graph, k, cooling="constant", seed=seed, max_steps=max_steps)
-    elapsed = time.perf_counter() - start
-    return {
-        "steps": result.steps,
-        "seconds": elapsed,
-        "steps_per_sec": result.steps / elapsed if elapsed > 0 else math.inf,
-    }
-
-
-def measure_lightcone_rate(
-    graph,
-    p: int,
-    num_points: int,
-    seed: int | np.random.Generator | None = 0,
-    engine: str = "plan",
-    max_qubits: int = 20,
-    parameter_sets: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict:
-    """Lightcone landscape points per second for one engine.
-
-    ``engine="plan"`` builds a :class:`~repro.qaoa.lightcone.LightconePlan`
-    once and evaluates the whole batch; ``engine="percall"`` runs the
-    retained :func:`~repro.qaoa.lightcone.lightcone_expectation_reference`
-    point by point (re-discovering structure each time, as the pre-plan
-    code did).  ``parameter_sets`` overrides the sampled ``(gammas,
-    betas)`` so different engines can be timed on identical points.
-    Returns points/sec plus the values for cross-checking.
-    """
-    from repro.qaoa.landscape import sample_parameter_sets
-    from repro.qaoa.lightcone import LightconePlan, lightcone_expectation_reference
-
-    if parameter_sets is None:
-        gammas, betas = sample_parameter_sets(p, num_points, seed=seed)
-    else:
-        gammas, betas = parameter_sets
-        gammas = np.asarray(gammas, dtype=float)[:num_points]
-        betas = np.asarray(betas, dtype=float)[:num_points]
-    num_points = len(gammas)  # the count actually evaluated
-    start = time.perf_counter()
-    if engine == "plan":
-        plan = LightconePlan.build(graph, p, max_qubits=max_qubits)
-        values = plan.evaluate_batch(gammas, betas)
-    elif engine == "percall":
-        values = np.array(
-            [
-                lightcone_expectation_reference(graph, list(g), list(b), max_qubits=max_qubits)
-                for g, b in zip(gammas, betas)
-            ]
-        )
-    else:
-        raise ValueError(f"engine must be 'plan' or 'percall', got {engine!r}")
-    elapsed = time.perf_counter() - start
-    return {
-        "points": num_points,
-        "seconds": elapsed,
-        "points_per_sec": num_points / elapsed if elapsed > 0 else math.inf,
-        "values": values,
-    }
 
 
 def estimate_pipeline_cost(
@@ -161,28 +77,25 @@ def estimate_pipeline_cost(
     maxiter: int = 40,
     finetune_maxiter: int = 0,
     keep_fraction: float = 0.7,
-    exact_limit: int = 20,
 ) -> float:
     """Modeled relative cost of one reduce -> optimize -> transfer job.
 
     The batch scheduler's ordering key (cheap jobs stream results first):
-    a statevector point costs ``~ p * n * 2**n`` work up to ``exact_limit``
+    a statevector point costs ``~ p * n * 2**n`` work up to ``EXACT_LIMIT``
     qubits, beyond which lightcone classes bound the per-point cost at
-    ``~ p * n * 2**exact_limit``; the optimizer spends
+    ``~ p * n * 2**EXACT_LIMIT``; the optimizer spends
     ``restarts * maxiter`` points on the distilled instance (modeled at
     ``keep_fraction * n`` qubits, the reducer's typical output) and
     ``finetune_maxiter + 2`` on the full one (transfer evaluation plus
     readout), and the SA reduction adds an ``n log n`` term scaled to be
     negligible next to any simulation.  Units are arbitrary but
-    monotone in wall-clock on one engine; calibrate against
-    :func:`measure_lightcone_rate` / :func:`measure_annealer_rate` when
-    real seconds are needed.
+    monotone in wall-clock on one engine.
     """
     if num_qubits < 1 or p < 1:
         raise ValueError("num_qubits and p must be >= 1")
 
     def point_cost(n: int) -> float:
-        return p * n * 2.0 ** min(n, exact_limit)
+        return p * n * 2.0 ** min(n, EXACT_LIMIT)
 
     reduced = max(3, math.ceil(keep_fraction * num_qubits))
     reduced = min(reduced, num_qubits)

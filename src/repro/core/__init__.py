@@ -13,11 +13,7 @@ Modules
                     graph, transfer, fine-tune on the original graph
 """
 
-from repro.core.annealer import (
-    AnnealResult,
-    reference_simulated_annealing,
-    simulated_annealing,
-)
+from repro.core.annealer import AnnealResult, simulated_annealing
 from repro.core.cache import CachedReduction, ReductionCache
 from repro.core.cooling import AdaptiveCooling, ConstantCooling, CoolingSchedule
 from repro.core.equivalence import and_ratio, subgraph_and_mse_study
@@ -39,7 +35,6 @@ __all__ = [
     "ReductionResult",
     "and_difference_objective",
     "and_ratio",
-    "reference_simulated_annealing",
     "simulated_annealing",
     "subgraph_and_mse_study",
 ]

@@ -7,25 +7,22 @@ Metropolis probability ``exp(-(f' - f) / T)``, and cool until ``T_f``.
 The objective is the AND difference against the original graph
 (:mod:`repro.core.objective`).
 
-Two engines share one annealing driver, so their RNG streams, acceptance
-decisions, and cooling updates are structurally identical:
+:func:`simulated_annealing` keeps **incremental state**: a flat CSR
+adjacency built once per call, the subgraph strength sum, the outside set,
+and per-node "edges into subgraph" counters are maintained under each
+swap, so one step costs ``O(deg(removed) + deg(added))`` plus one
+connectivity BFS over the CSR instead of ``O(n + k * deg)`` of networkx
+scans and subgraph copies.
 
-- :func:`simulated_annealing` (the default) keeps **incremental state**: a
-  flat CSR adjacency built once per call, the subgraph strength sum, the
-  outside set, and per-node "edges into subgraph" counters are maintained
-  under each swap, so one step costs ``O(deg(removed) + deg(added))`` plus
-  one connectivity BFS over the CSR instead of ``O(n + k * deg)`` of
-  networkx scans and subgraph copies.
-- :func:`reference_simulated_annealing` retains the original per-call
-  networkx recomputation (``neighbor_swap`` + induced-subgraph strength
-  sums).  It is the bit-identity oracle for the equivalence test suite and
-  the "before" baseline for the ``BENCH_*.json`` speedup measurements.
-
-Same-seed runs of the two engines return bit-identical
+The annealing loop itself lives in ``_anneal(..., state_factory)``, which
+draws every random number and makes every acceptance and cooling decision;
+the state object only proposes, commits and snapshots.  The test suite
+runs a per-call networkx state (``tests/_kernel_oracles.py``) through the
+same driver, and same-seed runs of the two states return bit-identical
 :class:`AnnealResult` values (nodes, objective, steps, history): they draw
 the same RNG sequence, and both compute objectives as correctly-rounded
-strength sums -- the reference via ``math.fsum``, the incremental engine
-via exact dyadic-integer arithmetic -- which agree on every subgraph
+strength sums -- the oracle via ``math.fsum``, the incremental state via
+exact dyadic-integer arithmetic -- which agree on every subgraph
 regardless of summation order.
 """
 
@@ -40,7 +37,6 @@ import networkx as nx
 import numpy as np
 
 from repro.core.cooling import AdaptiveCooling, ConstantCooling, CoolingSchedule
-from repro.core.objective import and_difference_objective
 from repro.obs.metrics import REGISTRY, STAGE_BUCKETS
 
 _SA_RUNS = REGISTRY.counter("redqaoa_sa_runs_total", "simulated-annealing runs")
@@ -55,13 +51,12 @@ from repro.utils.graphs import (
     average_node_strength,
     connected_random_subgraph,
     ensure_graph,
-    neighbor_swap,
 )
 from repro.utils.rng import as_generator
 
-__all__ = ["AnnealResult", "reference_simulated_annealing", "simulated_annealing"]
+__all__ = ["AnnealResult", "simulated_annealing"]
 
-_MAX_SWAP_ATTEMPTS = 200  # mirrors utils.graphs.neighbor_swap
+_MAX_SWAP_ATTEMPTS = 200  # swap trials per proposal before keeping the subgraph
 
 
 @dataclass
@@ -104,36 +99,11 @@ def simulated_annealing(
     ``max_steps`` is a safety bound on top of the temperature loop.
 
     Returns the best subgraph seen across the whole run (not merely the
-    final state), which only improves on the pseudocode.  Uses the
-    incremental-state engine; same-seed results are bit-identical to
-    :func:`reference_simulated_annealing`.
+    final state), which only improves on the pseudocode.
     """
     return _anneal(
         graph, k, initial_temperature, final_temperature, cooling, seed,
         max_steps, _IncrementalState,
-    )
-
-
-def reference_simulated_annealing(
-    graph: nx.Graph,
-    k: int,
-    initial_temperature: float = 1.0,
-    final_temperature: float = 1e-3,
-    cooling: CoolingSchedule | str = "adaptive",
-    seed: int | np.random.Generator | None = None,
-    max_steps: int | None = None,
-) -> AnnealResult:
-    """:func:`simulated_annealing` with per-call networkx recomputation.
-
-    The retained pre-optimization implementation: every proposal runs
-    :func:`~repro.utils.graphs.neighbor_swap` (full outside scan plus an
-    induced-subgraph connectivity check) and re-sums the subgraph strength
-    from scratch.  Kept as the equivalence oracle and benchmark baseline;
-    prefer :func:`simulated_annealing` everywhere else.
-    """
-    return _anneal(
-        graph, k, initial_temperature, final_temperature, cooling, seed,
-        max_steps, _ReferenceState,
     )
 
 
@@ -198,42 +168,21 @@ def _anneal(graph, k, initial_temperature, final_temperature, cooling, seed, max
     )
 
 
-class _ReferenceState:
-    """Per-call networkx recomputation (the original hot path)."""
-
-    def __init__(self, graph: nx.Graph, start: set, target_and: float) -> None:
-        self._graph = graph
-        self._target = target_and
-        self._current = set(start)
-        self._pending: set | None = None
-        self.objective = and_difference_objective(graph, self._current, target_and)
-
-    def propose(self, rng: np.random.Generator) -> float:
-        self._pending = neighbor_swap(self._graph, self._current, rng)
-        return and_difference_objective(self._graph, self._pending, self._target)
-
-    def commit(self) -> None:
-        if self._pending is not None:
-            self._current = self._pending
-
-    def snapshot(self) -> set:
-        return set(self._current)
-
-
 class _IncrementalState:
     """CSR adjacency + incrementally maintained swap/objective state.
 
-    Draws the exact RNG sequence of :func:`~repro.utils.graphs.neighbor_swap`
-    (one ``integers`` call for the removed node per attempt, one for the
-    added node whenever the candidate list is non-empty) and computes the
-    exact objective the reference computes, but in
+    Draws the RNG sequence of the straightforward per-call swap (one
+    ``integers`` call for the removed node per attempt, one for the added
+    node -- uniform over the sorted outside nodes with an edge into the
+    kept subgraph -- whenever that list is non-empty) and computes the
+    exact AND-difference objective, but in
     ``O(deg(removed) + deg(added))`` per proposal plus one CSR BFS for the
     connectivity check -- no networkx scans, no subgraph copies.
 
     Objective exactness: every ``|weight|`` is a dyadic rational, so the
     subgraph strength sum is maintained as an exact integer numerator over
     a common power-of-two denominator.  ``numerator / denominator`` is
-    correctly rounded, hence bit-equal to the reference's ``math.fsum``.
+    correctly rounded, hence bit-equal to a ``math.fsum`` of the weights.
     """
 
     def __init__(self, graph: nx.Graph, start: set, target_and: float) -> None:
@@ -312,7 +261,7 @@ class _IncrementalState:
 
     def _objective_of(self, s_int: int) -> float:
         # ``s_int / denom`` is the correctly rounded strength sum, matching
-        # the reference's ``math.fsum``; the remaining float ops mirror
+        # a ``math.fsum`` of the weights; the remaining float ops mirror
         # ``and_difference_objective`` exactly.
         return abs(2.0 * (s_int / self._denom) / self._k - self._target)
 

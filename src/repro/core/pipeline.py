@@ -52,7 +52,26 @@ from repro.qaoa.optimizer import (
 from repro.utils.graphs import ensure_graph, relabel_to_range
 from repro.utils.rng import as_generator
 
-__all__ = ["RedQAOA", "RedQAOAResult"]
+__all__ = ["RedQAOA", "RedQAOAResult", "check_config"]
+
+
+def check_config(p, restarts, maxiter, finetune_maxiter, shots, warm_start) -> None:
+    """Raise a one-line ``ValueError`` naming the first invalid pipeline setting.
+
+    ``p``, ``restarts``, ``maxiter`` and ``shots`` must be ints >= 1 and
+    ``finetune_maxiter`` an int >= 0 (a bool is not a count);
+    ``warm_start`` must be a bool.  :class:`RedQAOA` and
+    :class:`~repro.service.jobs.JobSpec` share this check, so a job
+    config is refused on submission exactly as the pipeline would refuse it.
+    """
+    for name, value, least in (
+        ("p", p, 1), ("restarts", restarts, 1), ("maxiter", maxiter, 1),
+        ("finetune_maxiter", finetune_maxiter, 0), ("shots", shots, 1),
+    ):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    if not isinstance(warm_start, bool):
+        raise ValueError(f"warm_start must be a bool, got {warm_start!r}")
 
 
 @dataclass
@@ -134,14 +153,10 @@ class RedQAOA:
         seed: int | np.random.Generator | None = None,
         plan_cache=None,
     ) -> None:
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-        if restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {restarts}")
-        if finetune_maxiter < 0:
-            raise ValueError(f"finetune_maxiter must be >= 0, got {finetune_maxiter}")
-        if shots is not None and shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+        # shots=None reads out 1024 shots (exact expectations when noisy).
+        check_config(
+            p, restarts, maxiter, finetune_maxiter, 1024 if shots is None else shots, warm_start
+        )
         self.p = p
         self._rng = as_generator(seed)
         self.reducer = reducer if reducer is not None else GraphReducer(seed=self._rng)
@@ -305,7 +320,7 @@ class RedQAOA:
                 return qaoa_expectation_fast(target, gammas, betas)
 
             return evaluate, objective
-        ideal = self._evaluator(instance)
+        ideal = self.evaluator(instance)
         objective = ideal if self.noise is None else self._objective(instance)
         return (lambda gammas, betas: (ideal(gammas, betas), None)), objective
 
@@ -375,8 +390,12 @@ class RedQAOA:
 
     # -- internals -------------------------------------------------------------
 
-    def _evaluator(self, instance):
-        """The ideal engine for a (relabeled) graph or a problem, dispatched once."""
+    def evaluator(self, instance):
+        """The ideal engine for a (relabeled) graph or a problem, dispatched once.
+
+        Raises :class:`~repro.qaoa.expectation.EngineLimitError` when no
+        exact engine can price ``instance`` at this depth.
+        """
         if isinstance(instance, nx.Graph):
             return maxcut_evaluator(instance, self.p, plan_cache=self.plan_cache)
         return problem_expectation.problem_evaluator(
@@ -387,12 +406,12 @@ class RedQAOA:
         """Energy function (to maximize) on ``instance`` under configured noise.
 
         Ideal objectives dispatch the engine (and compile any lightcone
-        plan) once via :meth:`_evaluator` instead of per evaluation --
+        plan) once via :meth:`evaluator` instead of per evaluation --
         bit-identical values, one engine setup per optimization loop.
         Noise is only wired up for graphs.
         """
         if self.noise is None:
-            return self._evaluator(instance)
+            return self.evaluator(instance)
         return lambda gammas, betas: noisy_maxcut_expectation(
             instance,
             gammas,

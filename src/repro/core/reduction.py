@@ -9,23 +9,31 @@ value Sec. 4.3 derives from the 0.02-MSE criterion).  Binary search over
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
-from repro.core.annealer import (
-    AnnealResult,
-    reference_simulated_annealing,
-    simulated_annealing,
-)
+from repro.core.annealer import AnnealResult, simulated_annealing
 from repro.core.cooling import CoolingSchedule
 from repro.utils.graphs import average_node_strength, ensure_graph, relabel_to_range
 from repro.utils.rng import as_generator
 
-__all__ = ["GraphReducer", "ProblemReductionResult", "ReductionResult"]
+__all__ = [
+    "GraphReducer",
+    "ProblemReductionResult",
+    "ReductionResult",
+    "check_and_ratio_threshold",
+]
 
 DEFAULT_AND_RATIO_THRESHOLD = 0.7
+
+
+def check_and_ratio_threshold(value) -> None:
+    """Raise a one-line ``ValueError`` unless ``value`` is a real number in (0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
+        raise ValueError(f"and_ratio_threshold must be a real number in (0, 1], got {value!r}")
 
 
 @dataclass
@@ -117,11 +125,6 @@ class GraphReducer:
     retries:
         Annealing restarts per candidate size before declaring the size
         infeasible.
-    annealer:
-        ``"incremental"`` (default) runs the CSR incremental-state engine;
-        ``"reference"`` runs the retained per-call networkx implementation.
-        Same-seed results are bit-identical either way; the knob exists so
-        benchmarks can measure the speedup through the full reducer.
     """
 
     def __init__(
@@ -134,12 +137,8 @@ class GraphReducer:
         initial_temperature: float = 1.0,
         final_temperature: float = 1e-3,
         seed: int | np.random.Generator | None = None,
-        annealer: str = "incremental",
     ) -> None:
-        if not 0.0 < and_ratio_threshold <= 1.0:
-            raise ValueError(
-                f"and_ratio_threshold must be in (0, 1], got {and_ratio_threshold}"
-            )
+        check_and_ratio_threshold(and_ratio_threshold)
         if min_nodes < 2:
             raise ValueError(f"min_nodes must be >= 2, got {min_nodes}")
         if not 0.0 < min_keep_fraction <= 1.0:
@@ -148,11 +147,6 @@ class GraphReducer:
             )
         if retries < 1:
             raise ValueError(f"retries must be >= 1, got {retries}")
-        if annealer not in ("incremental", "reference"):
-            raise ValueError(
-                f"annealer must be 'incremental' or 'reference', got {annealer!r}"
-            )
-        self.annealer = annealer
         self.and_ratio_threshold = and_ratio_threshold
         self.min_nodes = min_nodes
         self.min_keep_fraction = min_keep_fraction
@@ -215,10 +209,10 @@ class GraphReducer:
         The annealer runs on the problem's coupling graph with fields
         included as self-loops (``weight = 2 h_u``), so the node-strength
         objective sees linear terms: a strongly-biased qubit counts as
-        strongly connected and is preferentially retained.  Both annealing
-        engines handle self-loops with bit-identical results (the strength
-        sum counts each loop's ``|weight|`` once; connectivity ignores
-        loops).  The kept nodes become :meth:`DiagonalProblem.subproblem`.
+        strongly connected and is preferentially retained.  The annealer
+        handles self-loops (the strength sum counts each loop's
+        ``|weight|`` once; connectivity ignores loops).  The kept nodes
+        become :meth:`DiagonalProblem.subproblem`.
 
         For a MaxCut-encoded problem the coupling graph is the original
         weighted graph (no fields), so this reduces exactly as
@@ -239,15 +233,10 @@ class GraphReducer:
 
     def _anneal_at_size(self, graph: nx.Graph, k: int) -> AnnealResult | None:
         """Best annealing outcome over ``retries`` runs, or None if impossible."""
-        anneal = (
-            simulated_annealing
-            if self.annealer == "incremental"
-            else reference_simulated_annealing
-        )
         best: AnnealResult | None = None
         for _ in range(self.retries):
             try:
-                result = anneal(
+                result = simulated_annealing(
                     graph,
                     k,
                     initial_temperature=self.initial_temperature,

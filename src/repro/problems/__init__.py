@@ -27,7 +27,6 @@ from repro.problems.encodings import (
 from repro.problems.expectation import (
     problem_evaluator,
     problem_expectation,
-    problem_expectation_reference,
     problem_lightcone_plan,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "number_partitioning_problem",
     "problem_evaluator",
     "problem_expectation",
-    "problem_expectation_reference",
     "problem_lightcone_plan",
     "qubo_problem",
     "sk_problem",

@@ -2,16 +2,17 @@
 
 :func:`problem_evaluator` hands the problem's engines to
 :func:`repro.qaoa.expectation.dispatch_evaluator`, the policy graphs use
-too (statevector up to ``exact_limit``, lightcone when field-free, dense
+too (statevector up to ``EXACT_LIMIT``, lightcone when field-free, dense
 fallback up to the 26-qubit cap, else
 :class:`~repro.qaoa.expectation.EngineLimitError` at dispatch); problems
 just have no analytic p=1 engine.  The engines:
 
-- **statevector** (the parity oracle): the problem diagonal drops straight
-  into the fast statevector engine -- :class:`DiagonalProblem` duck-types
-  as a Hamiltonian (``.num_qubits`` + ``.diagonal``), so linear-Z fields
-  cost nothing extra (they are phase-table entries like any other diagonal
-  value).  Dense, hence guarded at ``n <= 26``.
+- **statevector**: the problem diagonal drops straight into the fast
+  statevector engine -- :class:`DiagonalProblem` duck-types as a
+  Hamiltonian (``.num_qubits`` + ``.diagonal``), so linear-Z fields cost
+  nothing extra (they are phase-table entries like any other diagonal
+  value).  Dense, hence guarded at ``n <= 26``;
+  ``qaoa_expectation_fast(problem, ...)`` is the parity oracle.
 - **lightcone**: for *field-free* problems only.  The phase diagonal
   ``constant + sum J_uv s_u s_v`` differs from the weighted-MaxCut diagonal
   of the coupling graph (``w_uv = -2 J_uv``) by an additive constant, i.e.
@@ -28,48 +29,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.problems.base import DiagonalProblem
-from repro.qaoa.expectation import (
-    EXACT_LIMIT,
-    EngineLimitError,
-    coerce_params,
-    dispatch_evaluator,
-)
-from repro.qaoa.fast_sim import qaoa_expectation_fast
-from repro.qaoa.hamiltonian import MAX_DENSE_QUBITS
+from repro.qaoa.expectation import EXACT_LIMIT, coerce_params, dispatch_evaluator
 from repro.qaoa.lightcone import LightconePlan, PlanCache
 
 __all__ = [
     "problem_evaluator",
     "problem_expectation",
-    "problem_expectation_reference",
     "problem_lightcone_plan",
 ]
-
-
-def problem_expectation_reference(
-    problem: DiagonalProblem,
-    gammas: Sequence[float],
-    betas: Sequence[float],
-) -> float:
-    """Dense-diagonal statevector expectation -- the per-problem parity oracle.
-
-    Always exact and engine-free (one statevector evolution against the
-    problem's own diagonal); every other path must match it to high
-    precision on small instances.
-    """
-    gammas, betas = coerce_params(gammas, betas)
-    if problem.num_qubits > MAX_DENSE_QUBITS:
-        raise EngineLimitError(
-            f"dense reference is limited to {MAX_DENSE_QUBITS} qubits, "
-            f"got {problem.num_qubits}"
-        )
-    return qaoa_expectation_fast(problem, gammas, betas)
 
 
 def problem_lightcone_plan(
     problem: DiagonalProblem,
     p: int,
-    max_qubits: int = 20,
     plan_cache: "PlanCache | None" = None,
 ) -> tuple[LightconePlan, float]:
     """Compiled lightcone plan plus the additive offset for a field-free problem.
@@ -77,10 +49,11 @@ def problem_lightcone_plan(
     ``plan.evaluate(gammas, betas) + offset`` is the exact expectation.
     Raises ``ValueError`` for field-carrying problems (their mixer-coupled
     linear terms break the per-edge decomposition) and
-    :class:`~repro.qaoa.lightcone.LightconeTooLargeError` for dense
-    coupling graphs.  ``plan_cache`` optionally shares compiled plans
-    across problems with identical coupling structure (batch serving);
-    reuse is result-neutral since a plan is a pure function of the graph.
+    :class:`~repro.qaoa.lightcone.LightconeTooLargeError` for coupling
+    graphs with a lightcone above ``EXACT_LIMIT`` qubits.  ``plan_cache``
+    optionally shares compiled plans across problems with identical
+    coupling structure (batch serving); reuse is result-neutral since a
+    plan is a pure function of the graph.
     """
     if not problem.is_field_free:
         raise ValueError(
@@ -88,7 +61,7 @@ def problem_lightcone_plan(
             "the lightcone engine only supports field-free problems"
         )
     plan = LightconePlan.build_cached(
-        problem.coupling_graph(), p, max_qubits=max_qubits, cache=plan_cache
+        problem.coupling_graph(), p, max_qubits=EXACT_LIMIT, cache=plan_cache
     )
     offset = problem.constant + sum(problem.couplings.values())
     return plan, offset
@@ -97,33 +70,25 @@ def problem_lightcone_plan(
 def problem_evaluator(
     problem: DiagonalProblem,
     p: int,
-    method: str = "auto",
-    exact_limit: int = EXACT_LIMIT,
-    max_qubits: int = 20,
     plan_cache: "PlanCache | None" = None,
 ):
     """One-time engine dispatch on a problem: ``f(gammas, betas) -> float``.
 
     :func:`~repro.qaoa.expectation.dispatch_evaluator` with the problem's
     engines: the statevector on the problem's own diagonal and, for
-    field-free problems, a lightcone plan (``max_qubits`` per lightcone)
-    plus the additive offset.  ``method`` is ``"auto"``,
-    ``"statevector"`` or ``"lightcone"``.  Pays the engine choice -- and
-    the plan compile -- once, and *fails fast*: the
-    :class:`~repro.qaoa.expectation.EngineLimitError` is raised here,
+    field-free problems, a lightcone plan plus the additive offset.  Pays
+    the engine choice -- and the plan compile -- once, and *fails fast*:
+    the :class:`~repro.qaoa.expectation.EngineLimitError` is raised here,
     before any caller spends an optimization budget.  The returned
     evaluator only accepts depth-``p`` parameter vectors.
     """
 
     def lightcone():
-        plan, offset = problem_lightcone_plan(
-            problem, p, max_qubits=max_qubits, plan_cache=plan_cache
-        )
+        plan, offset = problem_lightcone_plan(problem, p, plan_cache=plan_cache)
         return lambda gammas, betas: plan.evaluate(gammas, betas) + offset
 
     return dispatch_evaluator(
-        problem.num_qubits, p, method,
-        exact_limit=exact_limit,
+        problem.num_qubits, p,
         dense=lambda: problem,
         lightcone=lightcone,
         field_free=problem.is_field_free,
@@ -135,19 +100,11 @@ def problem_expectation(
     problem: DiagonalProblem,
     gammas: Sequence[float],
     betas: Sequence[float],
-    method: str = "auto",
-    exact_limit: int = EXACT_LIMIT,
-    max_qubits: int = 20,
 ) -> float:
     """Ideal QAOA expectation of ``problem`` with automatic engine choice.
 
-    ``method`` is ``"auto"``, ``"statevector"`` or ``"lightcone"``.  One
-    point, one dispatch; callers pricing many points on one problem should
-    hold on to :func:`problem_evaluator` instead.
+    One point, one dispatch; callers pricing many points on one problem
+    should hold on to :func:`problem_evaluator` instead.
     """
     gammas, betas = coerce_params(gammas, betas)
-    evaluate = problem_evaluator(
-        problem, len(gammas), method=method,
-        exact_limit=exact_limit, max_qubits=max_qubits,
-    )
-    return evaluate(gammas, betas)
+    return problem_evaluator(problem, len(gammas))(gammas, betas)

@@ -20,7 +20,7 @@ from repro.qaoa.expectation import (
     noisy_maxcut_expectation,
 )
 from repro.qaoa.fast_sim import FastNoiseSpec, qaoa_probabilities, qaoa_statevector
-from repro.qaoa.lightcone import LightconePlan, lightcone_expectation
+from repro.qaoa.lightcone import LightconePlan
 from repro.qaoa.landscape import (
     Landscape,
     compute_landscape,
@@ -47,7 +47,6 @@ __all__ = [
     "cut_values",
     "grid_search",
     "landscape_mse",
-    "lightcone_expectation",
     "local_search_maxcut",
     "maxcut_expectation",
     "multi_restart_optimize",

@@ -5,13 +5,13 @@ evaluators -- :func:`maxcut_evaluator` here and
 :func:`repro.problems.expectation.problem_evaluator` -- and hence behind
 :func:`maxcut_expectation` and
 :func:`~repro.problems.expectation.problem_expectation`, which are one
-dispatch plus one evaluation.  Under ``auto`` the first engine that
-applies wins:
+dispatch plus one evaluation.  Every job gets exactly one engine: the
+first that applies wins.
 
 ========================  ===========  ======================================
-condition (``auto``)      engine       notes
+condition                 engine       notes
 ========================  ===========  ======================================
-``n <= exact_limit``      statevector  :mod:`repro.qaoa.fast_sim`; exact for
+``n <= EXACT_LIMIT``      statevector  :mod:`repro.qaoa.fast_sim`; exact for
                                        any depth and any diagonal (weights,
                                        linear fields)
 ``p == 1``, graphs only   analytic     :mod:`repro.qaoa.analytic`; O(|E|)
@@ -32,7 +32,10 @@ otherwise                 --           :class:`EngineLimitError`, raised at
 Every engine honors the ``weight`` edge attribute (weighted MaxCut /
 random Ising).  Only what the chosen engine uses is built: callers pass
 builders, so a lightcone evaluator builds no Hamiltonian and a
-statevector evaluator compiles no plan.
+statevector evaluator compiles no plan.  There is no engine selector:
+code that needs one engine in particular calls it directly
+(``LightconePlan.build(g, p).evaluate``, :func:`maxcut_p1_expectation`,
+``qaoa_expectation_fast(MaxCutHamiltonian(g), ...)``).
 
 ``noisy_maxcut_expectation`` runs the fast Pauli-trajectory noisy path
 (statevector-based, so it also honors weights).
@@ -65,7 +68,8 @@ __all__ = [
     "noisy_maxcut_expectation",
 ]
 
-#: Largest qubit count that ``auto`` dispatch prices on the dense statevector engine.
+#: Largest qubit count dispatch prices on the dense statevector engine, and
+#: the largest lightcone the lightcone engine simulates.
 EXACT_LIMIT = 20
 
 
@@ -90,9 +94,7 @@ def coerce_params(gammas, betas, p: int | None = None) -> tuple[list[float], lis
 def dispatch_evaluator(
     num_qubits: int,
     p: int,
-    method: str,
     *,
-    exact_limit: int,
     dense: Callable[[], object],
     lightcone: Callable[[], Callable[[list, list], float]],
     field_free: bool = True,
@@ -106,9 +108,9 @@ def dispatch_evaluator(
     returns its raw evaluator, raising
     :class:`~repro.qaoa.lightcone.LightconeTooLargeError` when some
     lightcone is too large; ``analytic`` is the raw p=1 evaluator (graphs
-    only, ``None`` elsewhere).  ``method`` is ``"auto"`` (the policy in
-    the module docstring), ``"statevector"``, ``"lightcone"`` or, when
-    ``analytic`` is given, ``"analytic"``.
+    only, ``None`` elsewhere).  The policy is the table in the module
+    docstring, with ``EXACT_LIMIT`` and ``MAX_DENSE_QUBITS`` as its two
+    thresholds.
 
     The engine choice -- and on the lightcone path the whole plan compile
     -- is paid here, once; so is the failure: :class:`EngineLimitError`
@@ -117,60 +119,43 @@ def dispatch_evaluator(
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    auto = method == "auto"
 
     def checked(engine):
         return lambda gammas, betas: engine(*coerce_params(gammas, betas, p))
 
     def statevector():
-        if num_qubits > MAX_DENSE_QUBITS:
-            raise EngineLimitError(
-                f"dense statevector is limited to {MAX_DENSE_QUBITS} qubits, "
-                f"got {num_qubits}"
-            )
         target = dense()
         return checked(lambda gammas, betas: qaoa_expectation_fast(target, gammas, betas))
 
-    if method == "statevector" or (auto and num_qubits <= exact_limit):
+    if num_qubits <= EXACT_LIMIT:
         return statevector()
-    if analytic is not None and (method == "analytic" or (auto and p == 1)):
-        if p != 1:
-            raise ValueError("the analytic engine only supports p=1")
+    if analytic is not None and p == 1:
         return checked(analytic)
-    if method == "lightcone" or (auto and field_free):
+    if field_free:
         try:
             return checked(lightcone())
         except LightconeTooLargeError as exc:
-            if auto and num_qubits <= MAX_DENSE_QUBITS:
+            if num_qubits <= MAX_DENSE_QUBITS:
                 return statevector()
             raise EngineLimitError(
                 f"{name} with {num_qubits} qubits at p={p} is beyond exact "
                 f"simulation: {exc}"
             ) from exc
-    if auto:
-        if num_qubits <= MAX_DENSE_QUBITS:
-            return statevector()
-        raise EngineLimitError(
-            f"{name} with {num_qubits} qubits carries linear fields; "
-            f"no exact engine beyond {MAX_DENSE_QUBITS} qubits"
-        )
-    raise ValueError(f"unknown method {method!r}")
+    if num_qubits <= MAX_DENSE_QUBITS:
+        return statevector()
+    raise EngineLimitError(
+        f"{name} with {num_qubits} qubits carries linear fields; "
+        f"no exact engine beyond {MAX_DENSE_QUBITS} qubits"
+    )
 
 
-def maxcut_evaluator(
-    graph: nx.Graph,
-    p: int,
-    method: str = "auto",
-    exact_limit: int = EXACT_LIMIT,
-    plan_cache: PlanCache | None = None,
-):
+def maxcut_evaluator(graph: nx.Graph, p: int, plan_cache: PlanCache | None = None):
     """One-time engine dispatch on a MaxCut graph: ``f(gammas, betas) -> float``.
 
     :func:`dispatch_evaluator` with the graph's engines: the statevector
     on :class:`MaxCutHamiltonian`, the analytic p=1 form, and a lightcone
-    plan (``exact_limit`` qubits per lightcone) on the relabeled graph.
-    ``method`` may be ``"auto"``, ``"statevector"``, ``"analytic"`` (p=1
-    only) or ``"lightcone"``.  ``plan_cache`` optionally shares compiled
+    plan (``EXACT_LIMIT`` qubits per lightcone) on the relabeled graph.
+    ``plan_cache`` optionally shares compiled
     :class:`~repro.qaoa.lightcone.LightconePlan` objects across evaluators
     (batch serving); pass canonically relabeled graphs when sharing, as
     plan keys embed node labels.
@@ -179,13 +164,12 @@ def maxcut_evaluator(
 
     def lightcone():
         plan = LightconePlan.build_cached(
-            relabel_to_range(graph), p, max_qubits=exact_limit, cache=plan_cache
+            relabel_to_range(graph), p, max_qubits=EXACT_LIMIT, cache=plan_cache
         )
         return plan.evaluate
 
     return dispatch_evaluator(
-        graph.number_of_nodes(), p, method,
-        exact_limit=exact_limit,
+        graph.number_of_nodes(), p,
         dense=lambda: MaxCutHamiltonian(graph),
         lightcone=lightcone,
         analytic=lambda gammas, betas: maxcut_p1_expectation(graph, gammas[0], betas[0]),
@@ -197,18 +181,14 @@ def maxcut_expectation(
     graph: nx.Graph,
     gammas: Sequence[float],
     betas: Sequence[float],
-    method: str = "auto",
-    exact_limit: int = EXACT_LIMIT,
 ) -> float:
     """Ideal QAOA MaxCut expectation with automatic engine choice.
 
-    ``method`` is as for :func:`maxcut_evaluator`.  One point, one
-    dispatch; callers pricing many points on one graph should hold on to
-    :func:`maxcut_evaluator` instead.
+    One point, one dispatch; callers pricing many points on one graph
+    should hold on to :func:`maxcut_evaluator` instead.
     """
     gammas, betas = coerce_params(gammas, betas)
-    evaluate = maxcut_evaluator(graph, len(gammas), method=method, exact_limit=exact_limit)
-    return evaluate(gammas, betas)
+    return maxcut_evaluator(graph, len(gammas))(gammas, betas)
 
 
 def noisy_maxcut_expectation(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from repro.qaoa.expectation import maxcut_expectation, noisy_maxcut_expectation
+from repro.qaoa.expectation import EXACT_LIMIT, maxcut_expectation, noisy_maxcut_expectation
 from repro.qaoa.fast_sim import FastNoiseSpec, qaoa_expectation_batch
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
 from repro.qaoa.lightcone import LightconePlan, LightconeTooLargeError
@@ -82,7 +82,7 @@ def grid_axes(width: int) -> tuple[np.ndarray, np.ndarray]:
     return gammas, betas
 
 
-def compute_landscape(graph: nx.Graph, width: int = 32, method: str = "auto") -> Landscape:
+def compute_landscape(graph: nx.Graph, width: int = 32) -> Landscape:
     """Ideal p=1 landscape on a ``width x width`` grid (1024 points at 32).
 
     Uses the batched statevector engine when the graph is small enough; for
@@ -94,13 +94,7 @@ def compute_landscape(graph: nx.Graph, width: int = 32, method: str = "auto") ->
     ensure_graph(graph)
     gammas, betas = grid_axes(width)
     gg, bb = np.meshgrid(gammas, betas, indexing="ij")
-    if graph.number_of_nodes() <= 20:
-        hamiltonian = MaxCutHamiltonian(graph)
-        flat = qaoa_expectation_batch(
-            hamiltonian, gg.reshape(-1, 1), bb.reshape(-1, 1)
-        )
-    else:
-        flat = _plan_or_pointwise(graph, gg.reshape(-1, 1), bb.reshape(-1, 1), method)
+    flat = _ideal_batch(graph, gg.reshape(-1, 1), bb.reshape(-1, 1))
     return Landscape(gammas, betas, flat.reshape(width, width))
 
 
@@ -155,40 +149,34 @@ def evaluate_parameter_sets(
 
     ``evaluator`` defaults to the ideal expectation; pass a closure over
     ``noisy_maxcut_expectation`` for noisy energy vectors.  Default
-    evaluation is fully batched: the statevector engine below 21 nodes, a
-    once-built :class:`~repro.qaoa.lightcone.LightconePlan` above.
+    evaluation is fully batched: the statevector engine up to
+    ``EXACT_LIMIT`` nodes, a once-built :class:`~repro.qaoa.lightcone.LightconePlan` above.
     """
     ensure_graph(graph)
     gammas = np.atleast_2d(gammas)
     betas = np.atleast_2d(betas)
     if gammas.shape != betas.shape:
         raise ValueError(f"shape mismatch: {gammas.shape} vs {betas.shape}")
-    if evaluator is None and graph.number_of_nodes() <= 20:
-        hamiltonian = MaxCutHamiltonian(graph)
-        return qaoa_expectation_batch(hamiltonian, gammas, betas)
     if evaluator is None:
-        return _plan_or_pointwise(graph, gammas, betas, "auto")
+        return _ideal_batch(graph, gammas, betas)
     return np.array([evaluator(graph, g, b) for g, b in zip(gammas, betas)])
 
 
-def _plan_or_pointwise(
-    graph: nx.Graph, gammas: np.ndarray, betas: np.ndarray, method: str
-) -> np.ndarray:
-    """Batched lightcone-plan evaluation with a per-point dispatch fallback."""
-    if method in ("auto", "lightcone"):
-        try:
-            plan = LightconePlan.build(relabel_to_range(graph), gammas.shape[1])
-        except LightconeTooLargeError:
-            if method == "lightcone":
-                raise
-        else:
-            return plan.evaluate_batch(gammas, betas)
-    return np.array(
-        [
-            maxcut_expectation(graph, g, b, method=method)
-            for g, b in zip(gammas, betas)
-        ]
-    )
+def _ideal_batch(graph: nx.Graph, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Ideal energies of ``(batch, p)`` parameter sets, batched where it can be.
+
+    The batched statevector up to ``EXACT_LIMIT`` nodes, else a once-built
+    lightcone plan, else the dispatching scalar engine per point.
+    """
+    if graph.number_of_nodes() <= EXACT_LIMIT:
+        return qaoa_expectation_batch(MaxCutHamiltonian(graph), gammas, betas)
+    try:
+        plan = LightconePlan.build(
+            relabel_to_range(graph), gammas.shape[1], max_qubits=EXACT_LIMIT
+        )
+    except LightconeTooLargeError:
+        return np.array([maxcut_expectation(graph, g, b) for g, b in zip(gammas, betas)])
+    return plan.evaluate_batch(gammas, betas)
 
 
 def normalize_landscape(values: np.ndarray) -> np.ndarray:

@@ -36,8 +36,9 @@ Each class is compiled to one of two exact kernels:
   For a 3-regular graph at p=2 this replaces a 14-qubit statevector with a
   6-qubit density matrix -- an order of magnitude less work per point.
 
-Both kernels agree with the retained per-call reference
-(:func:`lightcone_expectation_reference`) to better than 1e-12.
+Both kernels agree to better than 1e-12 with the straightforward per-call
+form -- one full statevector per signature class per point -- which the
+test suite keeps as the plan's oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from repro.obs.metrics import KERNEL_BUCKETS, REGISTRY
 from repro.obs.trace import span
-from repro.qaoa.fast_sim import qaoa_expectation_batch, qaoa_probabilities
+from repro.qaoa.fast_sim import qaoa_expectation_batch
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
 from repro.utils.graphs import ensure_graph
 
@@ -107,8 +108,6 @@ __all__ = [
     "PlanCache",
     "bfs_canonical_order",
     "edge_lightcone",
-    "lightcone_expectation",
-    "lightcone_expectation_reference",
     "refine_keys",
     "weighted_edge_list",
 ]
@@ -133,86 +132,6 @@ def edge_lightcone(graph: nx.Graph, edge: tuple[int, int], p: int) -> set:
         if not frontier:
             break
     return nodes
-
-
-def _check_parameters(gammas, betas) -> tuple[list[float], list[float]]:
-    gammas = list(gammas)
-    betas = list(betas)
-    if len(gammas) != len(betas) or not gammas:
-        raise ValueError("gammas and betas must be non-empty and equal length")
-    return gammas, betas
-
-
-def lightcone_expectation(
-    graph: nx.Graph,
-    gammas: Sequence[float],
-    betas: Sequence[float],
-    max_qubits: int = 20,
-    stats: dict | None = None,
-) -> float:
-    """Exact QAOA expectation via per-edge lightcone simulation.
-
-    Raises :class:`LightconeTooLargeError` when some edge's distance-p
-    neighborhood exceeds ``max_qubits`` nodes.  Identical lightcones (up to
-    the relabeled weighted (edge, subgraph) signature) are evaluated once
-    and reused, which is what makes regular-ish graphs cheap.
-
-    When ``stats`` is a dict it is updated in place with ``edges`` (terms
-    summed), ``evaluations`` (distinct lightcones simulated) and ``hits``
-    (cache reuses) so callers can assert on memoization effectiveness.
-
-    Builds a :class:`LightconePlan` and evaluates it once; callers pricing
-    many parameter points on one graph should build the plan themselves
-    and call :meth:`LightconePlan.evaluate_batch`.
-    """
-    gammas, betas = _check_parameters(gammas, betas)
-    plan = LightconePlan.build(graph, len(gammas), max_qubits=max_qubits)
-    value = plan.evaluate(gammas, betas)
-    if stats is not None:
-        stats.update(plan.stats)
-    return value
-
-
-def lightcone_expectation_reference(
-    graph: nx.Graph,
-    gammas: Sequence[float],
-    betas: Sequence[float],
-    max_qubits: int = 20,
-    stats: dict | None = None,
-) -> float:
-    """The retained per-call implementation of :func:`lightcone_expectation`.
-
-    Re-discovers structure and re-simulates every signature class on each
-    call (full statevector per class, no batching).  Kept as the numerical
-    oracle for the plan's equivalence tests and as the "before" baseline
-    for the ``BENCH_*.json`` speedup measurements; prefer
-    :class:`LightconePlan` everywhere else.
-    """
-    ensure_graph(graph)
-    gammas, betas = _check_parameters(gammas, betas)
-    p = len(gammas)
-    cache: dict[object, float] = {}
-    total = 0.0
-    num_edges = 0
-    for edge in graph.edges():
-        nodes = edge_lightcone(graph, edge, p)
-        if len(nodes) > max_qubits:
-            raise LightconeTooLargeError(
-                f"edge {edge} has a distance-{p} lightcone of {len(nodes)} nodes "
-                f"(> {max_qubits}); the graph is too dense for lightcone evaluation"
-            )
-        key = _signature(graph, edge, nodes)
-        if key not in cache:
-            cache[key] = _edge_term(graph, edge, nodes, gammas, betas)
-        total += cache[key]
-        num_edges += 1
-    if stats is not None:
-        stats.update(
-            edges=num_edges,
-            evaluations=len(cache),
-            hits=num_edges - len(cache),
-        )
-    return total
 
 
 @dataclass
@@ -284,7 +203,8 @@ class LightconePlan:
 
     @property
     def stats(self) -> dict:
-        """Same keys :func:`lightcone_expectation` reports: edges, evaluations, hits."""
+        """Memoization counts: ``edges`` (terms summed), ``evaluations``
+        (distinct classes simulated) and ``hits`` (class reuses)."""
         return {
             "edges": self.num_edges,
             "evaluations": len(self.classes),
@@ -292,10 +212,7 @@ class LightconePlan:
         }
 
     def evaluate(self, gammas: Sequence[float], betas: Sequence[float]) -> float:
-        """Expectation at one parameter point."""
-        gammas, betas = _check_parameters(gammas, betas)
-        if len(gammas) != self.p:
-            raise ValueError(f"plan was built for p={self.p}, got p={len(gammas)}")
+        """Expectation at one parameter point (validated by :meth:`evaluate_batch`)."""
         return float(
             self.evaluate_batch(
                 np.asarray(gammas, dtype=float)[None, :],
@@ -574,7 +491,7 @@ class PlanCache:
         return len(self._plans)
 
 
-# -- signatures and the per-call reference ------------------------------------
+# -- signatures ----------------------------------------------------------------
 
 
 def _edge_weight(graph: nx.Graph, u, v) -> float:
@@ -701,29 +618,3 @@ def _signature(graph: nx.Graph, edge: tuple[int, int], nodes: set) -> object:
     )
     marked = (min(order[u], order[v]), max(order[u], order[v]))
     return (marked, edges)
-
-
-def _edge_term(
-    graph: nx.Graph,
-    edge: tuple[int, int],
-    nodes: set,
-    gammas: Sequence[float],
-    betas: Sequence[float],
-) -> float:
-    """Evaluate ``<C_uv> = w_uv P(edge cut)`` on the induced lightcone subgraph.
-
-    The state evolves under the *weighted* cost Hamiltonian of the subgraph
-    (relabeling preserves edge data), and the measured edge observable is
-    scaled by the marked edge's weight, matching the per-edge term of
-    ``H_c = sum w_ij (I - Z_i Z_j) / 2``.
-    """
-    sub = graph.subgraph(nodes)
-    ordered = sorted(sub.nodes())
-    mapping = {node: index for index, node in enumerate(ordered)}
-    relabeled = nx.relabel_nodes(sub, mapping)
-    hamiltonian = MaxCutHamiltonian(relabeled)
-    probs = qaoa_probabilities(hamiltonian, list(gammas), list(betas))
-    u, v = mapping[edge[0]], mapping[edge[1]]
-    z = np.arange(probs.size, dtype=np.uint64)
-    cut = ((z >> np.uint64(u)) ^ (z >> np.uint64(v))) & np.uint64(1)
-    return _edge_weight(graph, *edge) * float(probs @ cut.astype(float))

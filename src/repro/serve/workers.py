@@ -2,8 +2,9 @@
 
 A worker executes whole :class:`~repro.serve.queue.ShardClaim` batches.
 Within a claim, jobs run in fingerprint order with one reduction per
-instance fingerprint (computed in sorted instance order unless the claim
-carries precomputed ones); each job is
+instance fingerprint (made by the instance's first job, inside its
+pipeline and after its engine dispatch, unless the claim carries a
+precomputed one); each job is
 :func:`~repro.service.jobs.run_job` -- a pure function of its fingerprint.
 Consequently *every* pool below satisfies the purity contract: for any
 worker count, any shard assignment, any interleaving, and any number of
@@ -44,11 +45,11 @@ from dataclasses import dataclass
 
 from repro.obs.log import NullLog
 from repro.obs.metrics import JOB_BUCKETS, REGISTRY, STAGE_BUCKETS, snapshot_delta
-from repro.obs.trace import Tracer, get_tracer, install_tracer, span, using_tracer
+from repro.obs.trace import Tracer, get_tracer, install_tracer, using_tracer
 from repro.qaoa.lightcone import PlanCache
 from repro.qaoa.optimizer import hold_restarts_sequential
 from repro.serve.queue import ShardClaim, ShardedJobQueue
-from repro.service.jobs import JobResult, run_job
+from repro.service.jobs import JobResult, run_pipeline
 
 _RESPAWNS = REGISTRY.counter(
     "redqaoa_worker_respawns_total", "replacement workers spawned after a crash"
@@ -124,12 +125,13 @@ class WorkerEvent:
 
 
 def _run_one(spec, shared: dict, plan_cache) -> JobResult:
-    """Execute one spec, computing its reduction if the shard lacks it."""
+    """Execute one spec, handing its pipeline's reduction to the instance's
+    later jobs; the pipeline reduces after its engine dispatch, so an
+    unevaluable job fails on every attempt without spending a reduction."""
     instance_fp = spec.instance_fingerprint
-    if instance_fp not in shared:
-        with span("reduce", instance=instance_fp[:12]):
-            shared[instance_fp] = spec.compute_reduction()
-    return run_job(spec, reduction=shared[instance_fp], plan_cache=plan_cache)
+    run = run_pipeline(spec, reduction=shared.get(instance_fp), plan_cache=plan_cache)
+    shared.setdefault(instance_fp, run.reduction)
+    return JobResult.from_run(spec, run)
 
 
 def execute_shard(specs, plan_cache=None, reductions=None, fault=None, collect_spans=False):

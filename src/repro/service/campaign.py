@@ -100,7 +100,11 @@ def load_manifest(path: str | Path) -> dict:
 
 
 def manifest_specs(manifest: dict) -> list[JobSpec]:
-    """Expand a manifest mapping into concrete :class:`JobSpec` objects."""
+    """Expand a manifest mapping into concrete :class:`JobSpec` objects.
+
+    A bad entry raises one ``ValueError`` prefixed ``job N:`` (N is the
+    entry's position), so nothing of a manifest is built unless all of it is.
+    """
     schema = manifest.get("schema", MANIFEST_SCHEMA)
     if schema != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported manifest schema {schema!r} (supported: {MANIFEST_SCHEMA})")
@@ -110,15 +114,18 @@ def manifest_specs(manifest: dict) -> list[JobSpec]:
     defaults = manifest.get("defaults", {})
     specs: list[JobSpec] = []
     for position, entry in enumerate(entries):
-        merged = {**defaults, **entry}
-        repeat = int(merged.pop("repeat", 1))
-        if repeat < 1:
-            raise ValueError(f"job {position}: repeat must be >= 1, got {repeat}")
-        specs.extend(_entry_spec(merged, position) for _ in range(repeat))
+        try:
+            merged = {**defaults, **entry}
+            repeat = int(merged.pop("repeat", 1))
+            if repeat < 1:
+                raise ValueError(f"repeat must be >= 1, got {repeat}")
+            specs.extend(_entry_spec(merged) for _ in range(repeat))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"job {position}: {exc}") from exc
     return specs
 
 
-def _entry_spec(entry: dict, position: int) -> JobSpec:
+def _entry_spec(entry: dict) -> JobSpec:
     entry = dict(entry)
     kind = entry.pop("kind", "maxcut")
     nodes = int(entry.pop("nodes", 12))
@@ -126,7 +133,7 @@ def _entry_spec(entry: dict, position: int) -> JobSpec:
     generator = {key: entry.pop(key) for key in _GENERATOR_KEYS if key in entry}
     unknown = set(entry) - set(_CONFIG_KEYS)
     if unknown:
-        raise ValueError(f"job {position}: unknown manifest keys {sorted(unknown)}")
+        raise ValueError(f"unknown manifest keys {sorted(unknown)}")
     config = dict(entry)
     config.setdefault("label", f"{kind}-n{nodes}-s{seed}")
 

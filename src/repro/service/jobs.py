@@ -40,8 +40,12 @@ from typing import Any
 
 import networkx as nx
 
-from repro.core.pipeline import RedQAOA, RedQAOAResult
-from repro.core.reduction import DEFAULT_AND_RATIO_THRESHOLD, GraphReducer
+from repro.core.pipeline import RedQAOA, RedQAOAResult, check_config
+from repro.core.reduction import (
+    DEFAULT_AND_RATIO_THRESHOLD,
+    GraphReducer,
+    check_and_ratio_threshold,
+)
 from repro.problems import DiagonalProblem
 from repro.qaoa.lightcone import (
     _edge_weight,
@@ -60,6 +64,7 @@ __all__ = [
     "canonical_graph_form",
     "canonical_problem_form",
     "run_job",
+    "run_pipeline",
 ]
 
 # Bump when the fingerprint payload layout changes; old fingerprints (and
@@ -229,7 +234,9 @@ class JobSpec:
     set.  ``seed`` distinguishes deliberate re-runs of the same instance;
     ``label`` is free-form reporting text and never enters the
     fingerprint.  Config fields mirror :class:`~repro.core.pipeline.RedQAOA`
-    (``and_ratio_threshold`` configures the reducer).
+    (``and_ratio_threshold`` configures the reducer) and are checked on
+    construction with the pipeline's own checks, so a bad config fails
+    before it is queued; ``shots`` must be an int here (no ``None``).
 
     Frozen: fingerprints and the canonical form are cached on first
     access, so a mutable spec could silently dedup under a stale
@@ -260,6 +267,11 @@ class JobSpec:
             raise ValueError("pass exactly one of graph= or problem=")
         if self.graph is not None:
             ensure_graph(self.graph)
+        check_config(
+            self.p, self.restarts, self.maxiter, self.finetune_maxiter, self.shots,
+            self.warm_start,
+        )
+        check_and_ratio_threshold(self.and_ratio_threshold)
 
     # -- identity ------------------------------------------------------------
 
@@ -495,19 +507,24 @@ class JobResult:
         )
 
 
-def run_job(spec: JobSpec, *, reduction=None, plan_cache=None) -> JobResult:
-    """Execute one job spec deterministically; the service's unit of work.
+def run_pipeline(spec: JobSpec, *, reduction=None, plan_cache=None) -> RedQAOAResult:
+    """The :class:`~repro.core.pipeline.RedQAOA` run behind :func:`run_job`.
 
-    Runs the full :class:`~repro.core.pipeline.RedQAOA` flow on the
-    canonical instance with fingerprint-derived seeds.  ``reduction``
-    optionally injects the (shared) reduction of this spec's instance --
-    bit-identical to computing it here, see :meth:`JobSpec.compute_reduction`;
+    Runs on the canonical instance with fingerprint-derived seeds.
+    ``reduction`` optionally injects the (shared) reduction of this spec's
+    instance -- bit-identical to the one the pipeline would make after its
+    engine dispatch, which ``result.reduction`` holds either way.
     ``plan_cache`` shares compiled lightcone plans across jobs.
     """
     pipeline = spec.pipeline(plan_cache=plan_cache)
     instance = spec.canonical().instance
     if spec.graph is not None:
-        result = pipeline.run(instance, reduction=reduction)
-    else:
-        result = pipeline.run(problem=instance, reduction=reduction)
-    return JobResult.from_run(spec, result)
+        return pipeline.run(instance, reduction=reduction)
+    return pipeline.run(problem=instance, reduction=reduction)
+
+
+def run_job(spec: JobSpec, *, reduction=None, plan_cache=None) -> JobResult:
+    """Execute one job spec deterministically: :func:`run_pipeline`, stored form."""
+    return JobResult.from_run(
+        spec, run_pipeline(spec, reduction=reduction, plan_cache=plan_cache)
+    )

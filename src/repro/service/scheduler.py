@@ -13,7 +13,9 @@ amount of actual work:
    fingerprint and each instance is distilled once (jobs that scan
    optimizer configs over one instance share its SA reduction), in sorted
    instance-fingerprint order so any bank state is independent of manifest
-   order;
+   order.  As in :meth:`~repro.core.pipeline.RedQAOA.run`, the engine is
+   dispatched first: an instance no exact engine can price is not
+   reduced, and its jobs fail at dispatch;
 4. **shared plans** -- one :class:`~repro.qaoa.lightcone.PlanCache` serves
    every pipeline, so structurally identical graphs compile one lightcone
    plan across the whole batch;
@@ -48,6 +50,7 @@ from repro.core.annealer import AnnealResult
 from repro.core.cache import ReductionCache
 from repro.core.reduction import ReductionResult
 from repro.obs.trace import get_tracer, span, trace_job
+from repro.qaoa.expectation import EngineLimitError
 from repro.qaoa.lightcone import PlanCache
 from repro.serve.queue import ShardedJobQueue
 from repro.serve.workers import drain, make_pool
@@ -222,7 +225,9 @@ class BatchScheduler:
         # Phase 1: one reduction per pending instance, in sorted
         # instance-fingerprint order (bank state independent of manifest
         # order; irrelevant in exact mode, where reductions are per-spec
-        # pure functions anyway).
+        # pure functions anyway).  An instance whose first job's engine
+        # dispatch fails is not reduced: that job fails at dispatch in
+        # phase 2, and any sibling job reduces inside its own pipeline.
         by_instance: dict[str, list[str]] = {}
         for fingerprint in pending:
             key = unique[fingerprint].instance_fingerprint
@@ -247,6 +252,8 @@ class BatchScheduler:
                 # both): they run before any queue exists, so there is no
                 # enqueue/claim timeline to stitch them into.
                 with trace_job(f"phase1:{instance_fp[:12]}", stage="reduction"):
+                    if not _dispatches(spec, self.plan_cache):
+                        continue
                     with span("reduce", instance=instance_fp[:12]):
                         reduction = spec.compute_reduction()
                 if self.reduction_reuse == "cross-instance" and spec.graph is not None:
@@ -322,6 +329,16 @@ class BatchScheduler:
             seconds=time.perf_counter() - start,
             results=views,
         )
+
+
+def _dispatches(spec: JobSpec, plan_cache: PlanCache) -> bool:
+    """Whether the pipeline's own dispatch finds an exact engine for ``spec``
+    (a plan it compiles lands in ``plan_cache`` for the inline pool's run)."""
+    try:
+        spec.pipeline(plan_cache=plan_cache).evaluator(spec.canonical().instance)
+    except EngineLimitError:
+        return False
+    return True
 
 
 def _reduction_from_bank(spec: JobSpec, banked) -> ReductionResult:

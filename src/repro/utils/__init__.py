@@ -5,8 +5,6 @@ from repro.utils.graphs import (
     connected_random_subgraph,
     edge_list,
     ensure_graph,
-    is_connected_subset,
-    neighbor_swap,
     relabel_to_range,
 )
 from repro.utils.rng import as_generator
@@ -17,7 +15,5 @@ __all__ = [
     "connected_random_subgraph",
     "edge_list",
     "ensure_graph",
-    "is_connected_subset",
-    "neighbor_swap",
     "relabel_to_range",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import networkx as nx
 import numpy as np
@@ -23,9 +23,7 @@ __all__ = [
     "connected_random_subgraph",
     "edge_list",
     "ensure_graph",
-    "is_connected_subset",
     "is_weighted",
-    "neighbor_swap",
     "relabel_to_range",
     "nonisomorphic_connected_subgraphs",
 ]
@@ -110,16 +108,6 @@ def is_weighted(graph: nx.Graph) -> bool:
     )
 
 
-def is_connected_subset(graph: nx.Graph, nodes: Iterable) -> bool:
-    """Whether ``nodes`` induce a connected subgraph of ``graph``."""
-    nodes = set(nodes)
-    if not nodes:
-        return False
-    if not nodes.issubset(graph.nodes()):
-        raise ValueError("nodes must all belong to the graph")
-    return nx.is_connected(graph.subgraph(nodes))
-
-
 def connected_random_subgraph(
     graph: nx.Graph,
     size: int,
@@ -164,39 +152,6 @@ def connected_random_subgraph(
                 candidate_set.add(neighbor)
                 insort(candidates, neighbor)
     return chosen
-
-
-def neighbor_swap(
-    graph: nx.Graph,
-    nodes: set,
-    seed: int | np.random.Generator | None = None,
-    max_attempts: int = 200,
-) -> set:
-    """One SA move: swap a subgraph node for an outside node (Algorithm 1).
-
-    Picks a random node inside ``nodes`` and a random node outside with at
-    least one edge into the remaining subgraph, so connectivity is preserved.
-    Falls back to returning ``nodes`` unchanged when no connectivity-
-    preserving swap exists within ``max_attempts`` random trials.
-    """
-    ensure_graph(graph)
-    nodes = set(nodes)
-    outside = sorted(set(graph.nodes()) - nodes)
-    if not outside or not nodes:
-        return set(nodes)
-    rng = as_generator(seed)
-    inside = sorted(nodes)
-    for _ in range(max_attempts):
-        removed = _choice(rng, inside)
-        kept = nodes - {removed}
-        candidates = [v for v in outside if any(u in kept for u in graph.neighbors(v))]
-        if not candidates:
-            continue
-        added = _choice(rng, candidates)
-        candidate = kept | {added}
-        if len(candidate) == 1 or nx.is_connected(graph.subgraph(candidate)):
-            return candidate
-    return set(nodes)
 
 
 def nonisomorphic_connected_subgraphs(

@@ -1,16 +1,35 @@
-"""Reference oracles for the dense kernels: the straightforward forms.
+"""Reference oracles: the straightforward forms the library must reproduce.
 
-The library's kernels are cache-blocked (:func:`repro.qaoa.hamiltonian.cut_diagonal`,
-:func:`repro.qaoa.fast_sim.qaoa_statevector`); these whole-vector versions
-are what they must reproduce bit for bit.
+- The cache-blocked dense kernels must equal the whole-vector forms here
+  bit for bit.
+- The incremental annealer must equal :func:`reference_simulated_annealing`
+  (per-call networkx recomputation, run through the library's own
+  annealing driver) bit for bit.
+- Compiled lightcone plans must agree to 1e-12 with
+  :func:`lightcone_expectation_reference`, which re-discovers structure
+  and simulates every signature class on a full statevector per call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import networkx as nx
 import numpy as np
+
+from repro.core.annealer import _anneal
+from repro.core.objective import and_difference_objective
+from repro.qaoa.expectation import coerce_params
+from repro.qaoa.fast_sim import qaoa_expectation_fast, qaoa_probabilities
+from repro.qaoa.hamiltonian import MaxCutHamiltonian
+from repro.qaoa.lightcone import (
+    LightconeTooLargeError,
+    _edge_weight,
+    _signature,
+    edge_lightcone,
+)
+from repro.utils.rng import as_generator
 
 
 def cut_diagonal_reference(num_qubits: int, pairs, weights) -> np.ndarray:
@@ -70,3 +89,118 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# -- the annealer ----------------------------------------------------------------
+
+
+def is_connected_subset(graph: nx.Graph, nodes: Iterable) -> bool:
+    """Whether ``nodes`` induce a connected subgraph of ``graph``."""
+    nodes = set(nodes)
+    if not nodes:
+        return False
+    if not nodes.issubset(graph.nodes()):
+        raise ValueError("nodes must all belong to the graph")
+    return nx.is_connected(graph.subgraph(nodes))
+
+
+def neighbor_swap(graph: nx.Graph, nodes: set, seed=None, max_attempts: int = 200) -> set:
+    """One SA move (Algorithm 1): swap a random inside node for a random
+    outside node adjacent to the rest, if the result stays connected; after
+    ``max_attempts`` failed trials, ``nodes`` unchanged."""
+    nodes = set(nodes)
+    outside = sorted(set(graph.nodes()) - nodes)
+    if not outside or not nodes:
+        return set(nodes)
+    rng = as_generator(seed)
+    inside = sorted(nodes)
+    for _ in range(max_attempts):
+        removed = inside[int(rng.integers(len(inside)))]
+        kept = nodes - {removed}
+        candidates = [v for v in outside if any(u in kept for u in graph.neighbors(v))]
+        if not candidates:
+            continue
+        added = candidates[int(rng.integers(len(candidates)))]
+        candidate = kept | {added}
+        if len(candidate) == 1 or nx.is_connected(graph.subgraph(candidate)):
+            return candidate
+    return set(nodes)
+
+
+class ReferenceState:
+    """Annealing state with per-call networkx recomputation."""
+
+    def __init__(self, graph: nx.Graph, start: set, target_and: float) -> None:
+        self._graph = graph
+        self._target = target_and
+        self._current = set(start)
+        self._pending: set | None = None
+        self.objective = and_difference_objective(graph, self._current, target_and)
+
+    def propose(self, rng: np.random.Generator) -> float:
+        self._pending = neighbor_swap(self._graph, self._current, rng)
+        return and_difference_objective(self._graph, self._pending, self._target)
+
+    def commit(self) -> None:
+        if self._pending is not None:
+            self._current = self._pending
+
+    def snapshot(self) -> set:
+        return set(self._current)
+
+
+def reference_simulated_annealing(
+    graph, k, initial_temperature=1.0, final_temperature=1e-3, cooling="adaptive",
+    seed=None, max_steps=None,
+):
+    """:func:`repro.core.annealer.simulated_annealing` on :class:`ReferenceState`."""
+    return _anneal(
+        graph, k, initial_temperature, final_temperature, cooling, seed,
+        max_steps, ReferenceState,
+    )
+
+
+# -- the lightcone plan ----------------------------------------------------------
+
+
+def _edge_term(graph: nx.Graph, edge, nodes: set, gammas, betas) -> float:
+    """``<C_uv> = w_uv P(edge cut)`` on the induced lightcone subgraph."""
+    sub = graph.subgraph(nodes)
+    mapping = {node: index for index, node in enumerate(sorted(sub.nodes()))}
+    hamiltonian = MaxCutHamiltonian(nx.relabel_nodes(sub, mapping))
+    probs = qaoa_probabilities(hamiltonian, list(gammas), list(betas))
+    u, v = mapping[edge[0]], mapping[edge[1]]
+    z = np.arange(probs.size, dtype=np.uint64)
+    cut = ((z >> np.uint64(u)) ^ (z >> np.uint64(v))) & np.uint64(1)
+    return _edge_weight(graph, *edge) * float(probs @ cut.astype(float))
+
+
+def lightcone_expectation_reference(
+    graph: nx.Graph, gammas, betas, max_qubits: int = 20, stats: dict | None = None
+) -> float:
+    """Per-call lightcone expectation; ``stats`` receives the plan's stats keys."""
+    gammas, betas = coerce_params(gammas, betas)
+    p = len(gammas)
+    cache: dict[object, float] = {}
+    total = 0.0
+    num_edges = 0
+    for edge in graph.edges():
+        nodes = edge_lightcone(graph, edge, p)
+        if len(nodes) > max_qubits:
+            raise LightconeTooLargeError(f"edge {edge}: {len(nodes)} > {max_qubits} nodes")
+        key = _signature(graph, edge, nodes)
+        if key not in cache:
+            cache[key] = _edge_term(graph, edge, nodes, gammas, betas)
+        total += cache[key]
+        num_edges += 1
+    if stats is not None:
+        stats.update(edges=num_edges, evaluations=len(cache), hits=num_edges - len(cache))
+    return total
+
+
+# -- problems --------------------------------------------------------------------
+
+
+def problem_expectation_reference(problem, gammas, betas) -> float:
+    """Dense-diagonal statevector expectation of a diagonal problem."""
+    return qaoa_expectation_fast(problem, *coerce_params(gammas, betas))

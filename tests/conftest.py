@@ -48,3 +48,28 @@ def random_connected_graph(num_nodes: int, probability: float, seed: int) -> nx.
         if graph.number_of_edges() and nx.is_connected(graph):
             return graph
         seed_offset += 1000
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch) -> list:
+    """The graph of every ``GraphReducer.reduce`` call made while the test runs."""
+    from repro.core.reduction import GraphReducer
+
+    calls: list = []
+    original = GraphReducer.reduce
+
+    def counting(self, graph, *args, **kwargs):
+        calls.append(graph)
+        return original(self, graph, *args, **kwargs)
+
+    monkeypatch.setattr(GraphReducer, "reduce", counting)
+    return calls
+
+
+@pytest.fixture
+def unevaluable_spec():
+    """A 30-qubit SK job at p=2: no exact engine prices it."""
+    from repro.problems import sk_problem
+    from repro.service import JobSpec
+
+    return JobSpec(problem=sk_problem(30, seed=0), p=2, restarts=1, maxiter=4)

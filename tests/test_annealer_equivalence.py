@@ -1,7 +1,8 @@
-"""Same-seed equivalence: incremental annealer vs the retained reference.
+"""Same-seed equivalence: incremental annealer vs the per-call oracle.
 
 The incremental-state engine must be a drop-in replacement for the
-per-call networkx implementation under the runtime determinism contract:
+per-call networkx state in ``_kernel_oracles`` (run through the same
+annealing driver) under the runtime determinism contract:
 same seed, bit-identical :class:`~repro.core.annealer.AnnealResult` --
 nodes, objective, steps, and the full best-so-far history -- on weighted
 and unweighted graphs alike.
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.annealer import reference_simulated_annealing, simulated_annealing
+import repro.core.reduction
+from _kernel_oracles import reference_simulated_annealing
+from repro.core.annealer import simulated_annealing
 from repro.core.reduction import GraphReducer
 
 
@@ -92,17 +95,16 @@ class TestSameSeedEquivalence:
         assert result.objective == 0.4166666666666665
         assert len(result.history) == 189
 
-    def test_reducer_engines_agree(self):
+    def test_reducer_engines_agree(self, monkeypatch):
         g = _weighted(_connected_er(18, 0.3, 21), 13, "gaussian")
-        fast = GraphReducer(seed=3, annealer="incremental").reduce(g)
-        slow = GraphReducer(seed=3, annealer="reference").reduce(g)
+        fast = GraphReducer(seed=3).reduce(g)
+        monkeypatch.setattr(
+            repro.core.reduction, "simulated_annealing", reference_simulated_annealing
+        )
+        slow = GraphReducer(seed=3).reduce(g)
         assert fast.nodes == slow.nodes
         assert fast.and_ratio == slow.and_ratio
         assert fast.anneal_result.objective == slow.anneal_result.objective
-
-    def test_reducer_rejects_unknown_annealer(self):
-        with pytest.raises(ValueError):
-            GraphReducer(annealer="turbo")
 
 
 @settings(max_examples=12, deadline=None)

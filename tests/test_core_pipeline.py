@@ -197,7 +197,8 @@ class TestDenseFallback:
         """n=22 G(n, 0.5) at p=2: every lightcone is too large, so the job
         is priced on the dense fallback and reads out on its 2**22 state."""
         from repro.datasets import random_connected_gnp
-        from repro.qaoa.expectation import maxcut_expectation
+        from repro.qaoa.fast_sim import qaoa_expectation_fast
+        from repro.qaoa.hamiltonian import MaxCutHamiltonian
         from repro.service import JobSpec, run_job
 
         spec = JobSpec(
@@ -205,9 +206,8 @@ class TestDenseFallback:
             restarts=1, maxiter=10,
         )
         result = run_job(spec)
-        exact = maxcut_expectation(
-            spec.canonical().instance, result.gammas, result.betas,
-            method="statevector",
+        exact = qaoa_expectation_fast(
+            MaxCutHamiltonian(spec.canonical().instance), result.gammas, result.betas
         )
         assert result.expectation == exact
         assert len(result.bits) == 22 and np.isfinite(result.best_value)

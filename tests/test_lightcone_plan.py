@@ -1,8 +1,8 @@
-"""LightconePlan equivalence with the retained per-call lightcone engine.
+"""LightconePlan equivalence with the per-call lightcone oracle.
 
 The plan's compiled kernels (batched statevector, core density matrix with
 exact frontier dephasing) must reproduce
-:func:`~repro.qaoa.lightcone.lightcone_expectation_reference` to 1e-12 --
+``_kernel_oracles.lightcone_expectation_reference`` to 1e-12 --
 including the cache ``stats`` -- on weighted and unweighted graphs, at
 every depth, through both kernel paths.
 """
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _kernel_oracles import lightcone_expectation_reference
 from repro.qaoa.landscape import (
     compute_landscape,
     evaluate_parameter_sets,
@@ -23,8 +24,6 @@ from repro.qaoa.lightcone import (
     LightconeTooLargeError,
     _CoreDensityClass,
     _StatevectorClass,
-    lightcone_expectation,
-    lightcone_expectation_reference,
 )
 
 
@@ -46,7 +45,7 @@ class TestPlanMatchesReference:
     def test_regular_graph(self, p):
         g = nx.random_regular_graph(3, 14, seed=1)
         gammas, betas = _params(p, p)
-        plan_value = lightcone_expectation(g, gammas, betas)
+        plan_value = LightconePlan.build(g, p).evaluate(gammas, betas)
         reference = lightcone_expectation_reference(g, gammas, betas)
         assert plan_value == pytest.approx(reference, abs=1e-12)
 
@@ -54,15 +53,15 @@ class TestPlanMatchesReference:
     def test_weighted_graphs(self, p):
         for g in (_weighted_cycle(12, 4), _weighted_cycle(9, 7)):
             gammas, betas = _params(p, 10 * p)
-            plan_value = lightcone_expectation(g, gammas, betas)
+            plan_value = LightconePlan.build(g, p).evaluate(gammas, betas)
             reference = lightcone_expectation_reference(g, gammas, betas)
             assert plan_value == pytest.approx(reference, abs=1e-12)
 
     def test_stats_match_reference(self):
         g = nx.random_regular_graph(3, 40, seed=3)
-        plan_stats, reference_stats = {}, {}
+        reference_stats = {}
         gammas, betas = _params(2, 5)
-        lightcone_expectation(g, gammas, betas, stats=plan_stats)
+        plan_stats = LightconePlan.build(g, 2).stats
         lightcone_expectation_reference(g, gammas, betas, stats=reference_stats)
         assert plan_stats == reference_stats
         assert plan_stats["edges"] == 60
@@ -163,8 +162,8 @@ def test_property_plan_matches_reference(seed, p, weighted):
             g[u][v]["weight"] = float(rng.normal(0.0, 1.0))
     gammas = list(rng.uniform(0, 2 * np.pi, p))
     betas = list(rng.uniform(0, np.pi, p))
-    plan_stats, reference_stats = {}, {}
-    plan_value = lightcone_expectation(g, gammas, betas, stats=plan_stats)
+    reference_stats = {}
+    plan = LightconePlan.build(g, p)
     reference = lightcone_expectation_reference(g, gammas, betas, stats=reference_stats)
-    assert plan_value == pytest.approx(reference, abs=1e-12)
-    assert plan_stats == reference_stats
+    assert plan.evaluate(gammas, betas) == pytest.approx(reference, abs=1e-12)
+    assert plan.stats == reference_stats

@@ -16,7 +16,7 @@ from repro.obs.regress import (
     noise_floor,
 )
 
-REPO = Path(__file__).resolve().parent.parent
+HISTORY = Path(__file__).resolve().parent.parent / "benchmarks" / "history"
 
 
 def _rate(value, samples=None):
@@ -81,7 +81,7 @@ class TestExtraction:
 
     def test_all_checked_in_bench_files_are_recognised(self):
         for name in ("BENCH_pr3", "BENCH_pr4", "BENCH_pr5", "BENCH_pr6"):
-            payload = json.loads((REPO / f"{name}.json").read_text())
+            payload = json.loads((HISTORY / f"{name}.json").read_text())
             assert extract_metrics(payload), f"{name} extracted no metrics"
 
     def test_history_snapshots_become_throughput_with_samples(self):
@@ -166,7 +166,7 @@ class TestCompare:
         assert outcome["ok"] and outcome["rows"] == []
 
     def test_recorded_repo_trajectory_is_clean(self):
-        trajectory = REPO / "benchmarks" / "history" / "trajectory.jsonl"
+        trajectory = HISTORY / "trajectory.jsonl"
         records = load_records([trajectory])
         assert len(records) >= 4
         assert compare(records)["ok"]
@@ -196,15 +196,15 @@ class TestBenchCli:
         assert "ADVISORY" in capsys.readouterr().out
 
     def test_compare_exits_zero_on_recorded_trajectory(self, capsys):
-        trajectory = REPO / "benchmarks" / "history" / "trajectory.jsonl"
+        trajectory = HISTORY / "trajectory.jsonl"
         assert main(["bench", "compare", str(trajectory)]) == 0
 
     def test_compare_real_bench_files_against_trajectory(self, capsys):
-        # CI's advisory gate: today's BENCH emissions vs the recorded history
-        trajectory = REPO / "benchmarks" / "history" / "trajectory.jsonl"
+        # CI's advisory gate: BENCH emissions vs the recorded history
+        trajectory = HISTORY / "trajectory.jsonl"
         code = main([
             "bench", "compare", "--advisory", str(trajectory),
-            str(REPO / "BENCH_pr3.json"), str(REPO / "BENCH_pr5.json"),
+            str(HISTORY / "BENCH_pr3.json"), str(HISTORY / "BENCH_pr5.json"),
         ])
         assert code == 0
 

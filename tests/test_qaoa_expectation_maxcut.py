@@ -4,13 +4,18 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.qaoa.analytic import maxcut_p1_expectation
 from repro.qaoa.expectation import (
+    EXACT_LIMIT,
     EngineLimitError,
+    dispatch_evaluator,
     maxcut_evaluator,
     maxcut_expectation,
     noisy_maxcut_expectation,
 )
-from repro.qaoa.fast_sim import FastNoiseSpec
+from repro.qaoa.fast_sim import FastNoiseSpec, qaoa_expectation_fast
+from repro.qaoa.hamiltonian import MAX_DENSE_QUBITS, MaxCutHamiltonian
+from repro.qaoa.lightcone import LightconePlan, LightconeTooLargeError
 from repro.qaoa.maxcut import (
     approximation_ratio,
     brute_force_maxcut,
@@ -31,15 +36,15 @@ def _connected_er(n, p, seed):
 class TestDispatcher:
     def test_small_graph_uses_statevector(self):
         g = _connected_er(8, 0.4, 0)
-        a = maxcut_expectation(g, [0.6], [0.4], method="statevector")
-        b = maxcut_expectation(g, [0.6], [0.4], method="auto")
-        assert a == pytest.approx(b)
+        a = qaoa_expectation_fast(MaxCutHamiltonian(g), [0.6], [0.4])
+        b = maxcut_expectation(g, [0.6], [0.4])
+        assert a == b
 
     def test_engines_agree(self):
         g = _connected_er(10, 0.3, 1)
-        sv = maxcut_expectation(g, [0.6], [0.4], method="statevector")
-        an = maxcut_expectation(g, [0.6], [0.4], method="analytic")
-        lc = maxcut_expectation(g, [0.6], [0.4], method="lightcone")
+        sv = maxcut_expectation(g, [0.6], [0.4])
+        an = maxcut_p1_expectation(g, 0.6, 0.4)
+        lc = LightconePlan.build(g, 1).evaluate([0.6], [0.4])
         assert sv == pytest.approx(an, abs=1e-9)
         assert sv == pytest.approx(lc, abs=1e-9)
 
@@ -58,15 +63,6 @@ class TestDispatcher:
         with pytest.raises(EngineLimitError):
             maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7])
 
-    def test_analytic_rejects_p2(self):
-        g = nx.path_graph(5)
-        with pytest.raises(ValueError):
-            maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7], method="analytic")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            maxcut_expectation(nx.path_graph(3), [0.1], [0.1], method="quantum")
-
     def test_arbitrary_labels_accepted(self):
         g = nx.Graph([("x", "y"), ("y", "z")])
         value = maxcut_expectation(g, [0.5], [0.3])
@@ -76,23 +72,25 @@ class TestDispatcher:
         # p=2 lightcones of a 22-node G(n, 0.5) span the whole graph.
         g = _connected_er(22, 0.5, seed=0)
         auto = maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7])
-        assert auto == maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7], method="statevector")
-        with pytest.raises(EngineLimitError):
-            maxcut_expectation(g, [0.5, 0.9], [0.3, 0.7], method="lightcone")
+        assert auto == qaoa_expectation_fast(MaxCutHamiltonian(g), [0.5, 0.9], [0.3, 0.7])
+        with pytest.raises(LightconeTooLargeError):
+            LightconePlan.build(g, 2, max_qubits=EXACT_LIMIT)
 
     @pytest.mark.parametrize("kind", ["graph", "problem"])
     @pytest.mark.parametrize("method", ["statevector", "lightcone"])
     def test_evaluators_reject_wrong_depth(self, kind, method):
+        """The statevector engine prices 12 qubits, the lightcone engine 24."""
         from repro.problems import max_independent_set_problem, maxcut_problem
         from repro.problems.expectation import problem_evaluator
 
-        g = nx.random_regular_graph(3, 12, seed=0)
+        n = 12 if method == "statevector" else 24
+        g = nx.random_regular_graph(3, n, seed=0)
         if kind == "graph":
-            evaluate = maxcut_evaluator(g, 2, method=method)
+            evaluate = maxcut_evaluator(g, 2)
         elif method == "statevector":
-            evaluate = problem_evaluator(max_independent_set_problem(g), 2, method=method)
+            evaluate = problem_evaluator(max_independent_set_problem(g), 2)
         else:
-            evaluate = problem_evaluator(maxcut_problem(g), 2, method=method)
+            evaluate = problem_evaluator(maxcut_problem(g), 2)
         assert np.isfinite(evaluate([0.5, 0.9], [0.3, 0.7]))
         with pytest.raises(ValueError, match="p=2"):
             evaluate([0.5], [0.3])
@@ -102,6 +100,45 @@ class TestDispatcher:
         noise = FastNoiseSpec(edge_error=0.05)
         value = noisy_maxcut_expectation(g, [0.5], [0.3], noise, trajectories=4, seed=0)
         assert 0 <= value <= g.number_of_edges()
+
+
+class TestDispatchPolicy:
+    """Every branch of the one policy, on stub engines and pretend sizes."""
+
+    @staticmethod
+    def _built(num_qubits, p, field_free=True, analytic=False, fits=True):
+        built = []
+
+        def lightcone():
+            built.append("lightcone")
+            if not fits:
+                raise LightconeTooLargeError("stub lightcone too large")
+            return lambda gammas, betas: 0.0
+
+        dispatch_evaluator(
+            num_qubits, p, dense=lambda: built.append("dense"), lightcone=lightcone,
+            field_free=field_free, analytic=(lambda g, b: 0.0) if analytic else None,
+        )
+        return built
+
+    @pytest.mark.parametrize(
+        "num_qubits, p, options, built",
+        [
+            (EXACT_LIMIT, 2, dict(analytic=True), ["dense"]),
+            (EXACT_LIMIT + 1, 1, dict(analytic=True), []),
+            (EXACT_LIMIT + 1, 2, dict(analytic=True), ["lightcone"]),
+            (MAX_DENSE_QUBITS, 2, dict(fits=False), ["lightcone", "dense"]),
+            (MAX_DENSE_QUBITS, 1, dict(field_free=False), ["dense"]),
+            (MAX_DENSE_QUBITS + 1, 2, dict(fits=False), None),
+            (MAX_DENSE_QUBITS + 1, 2, dict(field_free=False), None),
+        ],
+    )
+    def test_branch(self, num_qubits, p, options, built):
+        if built is None:
+            with pytest.raises(EngineLimitError):
+                self._built(num_qubits, p, **options)
+        else:
+            assert self._built(num_qubits, p, **options) == built
 
 
 class TestBruteForce:

@@ -6,11 +6,11 @@ import pytest
 
 from repro.qaoa.fast_sim import qaoa_expectation_fast
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
-from repro.qaoa.lightcone import (
-    LightconeTooLargeError,
-    edge_lightcone,
-    lightcone_expectation,
-)
+from repro.qaoa.lightcone import LightconePlan, LightconeTooLargeError, edge_lightcone
+
+
+def _cone(g, gammas, betas):
+    return LightconePlan.build(g, len(gammas)).evaluate(gammas, betas)
 
 
 def _connected_er(n, p, seed):
@@ -46,58 +46,54 @@ class TestLightconeExpectation:
         gammas = list(rng.uniform(0, 2 * np.pi, size=p))
         betas = list(rng.uniform(0, np.pi, size=p))
         exact = qaoa_expectation_fast(ham, gammas, betas)
-        cone = lightcone_expectation(g, gammas, betas)
+        cone = _cone(g, gammas, betas)
         assert cone == pytest.approx(exact, abs=1e-9)
 
     def test_matches_exact_on_tree(self):
         g = nx.random_labeled_tree(12, seed=4) if hasattr(nx, "random_labeled_tree") else nx.random_tree(12, seed=4)
         ham = MaxCutHamiltonian(g)
         exact = qaoa_expectation_fast(ham, [0.8, 1.2], [0.3, 0.7])
-        cone = lightcone_expectation(g, [0.8, 1.2], [0.3, 0.7])
+        cone = _cone(g, [0.8, 1.2], [0.3, 0.7])
         assert cone == pytest.approx(exact, abs=1e-9)
 
     def test_regular_graph_cache_reuse(self):
         """On a cycle all lightcones are isomorphic: one evaluation reused."""
         g = nx.cycle_graph(30)
-        value = lightcone_expectation(g, [0.5], [0.3])
+        value = _cone(g, [0.5], [0.3])
         # Compare against a smaller cycle scaled by edge count: each edge of
         # any long-enough cycle contributes identically at p=1.
         small = nx.cycle_graph(10)
-        small_value = lightcone_expectation(small, [0.5], [0.3])
+        small_value = _cone(small, [0.5], [0.3])
         assert value / 30 == pytest.approx(small_value / 10, abs=1e-9)
 
     def test_too_dense_raises(self):
         g = nx.complete_graph(25)
         with pytest.raises(LightconeTooLargeError):
-            lightcone_expectation(g, [0.1, 0.2], [0.1, 0.2], max_qubits=10)
+            LightconePlan.build(g, 2, max_qubits=10)
 
     def test_parameter_validation(self):
         g = nx.path_graph(4)
         with pytest.raises(ValueError):
-            lightcone_expectation(g, [0.1], [0.1, 0.2])
+            LightconePlan.build(g, 1).evaluate([0.1], [0.1, 0.2])
 
     def test_large_sparse_graph_feasible(self):
         """60-node 3-regular graph at p=2: full statevector impossible,
         lightcones small."""
         g = nx.random_regular_graph(3, 60, seed=0)
-        value = lightcone_expectation(g, [0.4, 0.9], [0.2, 0.6])
+        value = _cone(g, [0.4, 0.9], [0.2, 0.6])
         assert 0 <= value <= g.number_of_edges()
 
 
 class TestSignatureCache:
     def test_cycle_single_evaluation(self):
         """Every lightcone of a long cycle is isomorphic: one simulation."""
-        stats = {}
-        lightcone_expectation(nx.cycle_graph(30), [0.5], [0.3], stats=stats)
+        stats = LightconePlan.build(nx.cycle_graph(30), 1).stats
         assert stats == {"edges": 30, "evaluations": 1, "hits": 29}
 
     def test_regular_graph_hit_rate(self):
         """On a 3-regular graph most p=2 lightcones repeat; the canonical
         signature must merge them (>50% hit rate)."""
-        stats = {}
-        lightcone_expectation(
-            nx.random_regular_graph(3, 60, seed=0), [0.4, 0.9], [0.2, 0.6], stats=stats
-        )
+        stats = LightconePlan.build(nx.random_regular_graph(3, 60, seed=0), 2).stats
         assert stats["edges"] == 90
         assert stats["hits"] / stats["edges"] > 0.5
 
@@ -107,11 +103,11 @@ class TestSignatureCache:
         perm = list(range(40))
         np.random.default_rng(9).shuffle(perm)
         h = nx.relabel_nodes(g, dict(zip(g.nodes(), perm)))
-        s_g, s_h = {}, {}
-        v_g = lightcone_expectation(g, [0.4, 0.9], [0.2, 0.6], stats=s_g)
-        v_h = lightcone_expectation(h, [0.4, 0.9], [0.2, 0.6], stats=s_h)
+        plan_g, plan_h = LightconePlan.build(g, 2), LightconePlan.build(h, 2)
+        v_g = plan_g.evaluate([0.4, 0.9], [0.2, 0.6])
+        v_h = plan_h.evaluate([0.4, 0.9], [0.2, 0.6])
         assert v_g == pytest.approx(v_h, abs=1e-12)
-        assert s_g["evaluations"] == s_h["evaluations"]
+        assert plan_g.stats["evaluations"] == plan_h.stats["evaluations"]
 
     def test_weighted_lightcones_not_merged(self):
         """Identical topology with different weights must evaluate separately."""
@@ -119,7 +115,6 @@ class TestSignatureCache:
         rng = np.random.default_rng(4)
         for u, v in g.edges():
             g[u][v]["weight"] = float(rng.uniform(0.5, 1.5))
-        stats = {}
-        lightcone_expectation(g, [0.5], [0.3], stats=stats)
+        stats = LightconePlan.build(g, 1).stats
         # All 12 lightcones share a topology but carry distinct weights.
         assert stats["evaluations"] == 12

@@ -163,6 +163,17 @@ class TestRefusals:
             with pytest.raises(ServeError, match="unknown ticket"):
                 client.poll("t-999999")
 
+    def test_bad_job_config_admits_nothing(self, tmp_path):
+        with _daemon(tmp_path) as (daemon, client):
+            for bad in ({"p": 0}, {"p": -1}, {"p": "2"}, {"restarts": "2"}, {"maxiter": 0},
+                        {"shots": None}, {"warm_start": "yes"}, {"and_ratio_threshold": "x"}):
+                manifest = _manifest(count=2)
+                manifest["jobs"][1].update(bad)
+                with pytest.raises(ServeError, match=f"bad manifest: job 1: {next(iter(bad))}"):
+                    client.submit(manifest)
+                assert daemon.queue.depth == 0
+                assert daemon.tickets == {}
+
     def test_drain_refuses_new_submissions(self, tmp_path):
         with _daemon(tmp_path) as (daemon, client):
             ticket = client.submit(_manifest(count=2))["ticket"]

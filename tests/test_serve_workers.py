@@ -15,6 +15,7 @@ from repro.serve.workers import (
     InlineWorkerPool,
     ProcessWorkerPool,
     drain,
+    execute_shard,
     make_pool,
 )
 from repro.service.jobs import JobSpec, run_job
@@ -95,6 +96,25 @@ class TestInlinePool:
         assert list(deads) == [pill.fingerprint]
         assert "EngineLimitError" in deads[pill.fingerprint]
         assert queue.dead[pill.fingerprint]["attempts"] == 3
+
+    def test_unevaluable_job_fails_without_reducing(self, reduce_calls, unevaluable_spec):
+        got, deads, queue = _drain_with(InlineWorkerPool(), [unevaluable_spec])
+        fingerprint = unevaluable_spec.fingerprint
+        assert got == {}
+        assert "EngineLimitError" in deads[fingerprint]
+        assert queue.dead[fingerprint]["attempts"] == 3
+        assert reduce_calls == []  # dispatch fails first, on every attempt
+
+    def test_shard_shares_the_pipeline_reduction(self, reduce_calls):
+        graph = _specs(1)[0].graph
+        specs = [JobSpec(graph=graph, restarts=1, maxiter=m) for m in (5, 6, 7)]
+        assert len({spec.instance_fingerprint for spec in specs}) == 1
+        outcomes = list(execute_shard(specs))
+        assert len(reduce_calls) == 1
+        expected = _reference(specs)
+        for kind, fingerprint, result, _ in outcomes:
+            assert kind == "result"
+            assert result.to_payload() == expected[fingerprint]
 
 
 class TestProcessPool:

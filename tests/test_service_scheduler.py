@@ -12,11 +12,14 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import suite_manifest
 from repro.service import (
     BatchScheduler,
     Campaign,
+    JobFailedError,
     JobSpec,
     ResultStore,
     load_manifest,
@@ -191,6 +194,17 @@ class TestProblemJobs:
             assert _key(view.result) == _key(expected)
 
 
+class TestUnevaluableJobs:
+    def test_batch_dispatches_before_reducing(self, reduce_calls, unevaluable_spec):
+        """Phase 1 reduces the evaluable instance only; the other job fails
+        at dispatch without a reduction spent on it."""
+        good = JobSpec(graph=_weighted_graph(9, 3), restarts=1, maxiter=6)
+        with pytest.raises(JobFailedError, match="EngineLimitError"):
+            BatchScheduler().run([good, unevaluable_spec])
+        assert len(reduce_calls) == 1
+        assert reduce_calls[0].number_of_nodes() == 9
+
+
 class TestCampaign:
     def test_manifest_expansion_defaults_overrides_and_repeat(self):
         manifest = {
@@ -285,3 +299,29 @@ class TestCampaign:
     def test_empty_campaign_is_rejected(self):
         with pytest.raises(ValueError):
             Campaign([])
+
+
+_CONFIG_KEYS = ("p", "restarts", "maxiter", "finetune_maxiter", "shots", "warm_start",
+                "and_ratio_threshold", "seed")
+_CONFIG_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text())
+
+
+@settings(max_examples=80, deadline=None)
+@example(kind="maxcut", nodes=8, config={"seed": float("inf")})  # int(inf): OverflowError
+@given(
+    kind=st.sampled_from(["maxcut", "mis", "sk"]),
+    nodes=st.integers(1, 8),
+    config=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES, max_size=3),
+)
+def test_property_manifest_entry_builds_or_fails_in_one_line(kind, nodes, config):
+    """Every entry either expands to specs whose pipelines construct, or the
+    manifest fails as a whole with one ``job 0: ...`` line."""
+    manifest = {"jobs": [{"kind": kind, "nodes": nodes, **config}]}
+    try:
+        specs = manifest_specs(manifest)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith("job 0: ") and "\n" not in message
+        return
+    for spec in specs:
+        spec.pipeline()

@@ -1,4 +1,9 @@
-"""Tests for repro.utils.graphs."""
+"""Tests for repro.utils.graphs, plus the annealer oracle's swap helpers.
+
+``is_connected_subset`` and ``neighbor_swap`` live in ``_kernel_oracles``
+(only the per-call annealing oracle uses them); they are tested here next
+to the library's ``connected_random_subgraph`` they build on.
+"""
 
 import networkx as nx
 import numpy as np
@@ -6,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _kernel_oracles import is_connected_subset, neighbor_swap
 from repro.utils.graphs import (
     average_node_degree,
     connected_random_subgraph,
     edge_list,
     ensure_graph,
-    is_connected_subset,
-    neighbor_swap,
     nonisomorphic_connected_subgraphs,
     relabel_to_range,
 )

@@ -1,7 +1,7 @@
 """Cross-engine agreement on weighted MaxCut instances.
 
-Regression suite for the lightcone weight bug: the seed's
-``lightcone_expectation`` evolved states under the weighted Hamiltonian but
+Regression suite for the lightcone weight bug: the seed's per-call
+lightcone engine evolved states under the weighted Hamiltonian but
 read out the *unweighted* cut indicator and memoized by a weight-blind
 signature, so any weighted graph dispatched to the lightcone path got a
 silently wrong answer.  These tests pin the corrected behavior and assert
@@ -19,7 +19,11 @@ from repro.qaoa.analytic import maxcut_p1_expectation
 from repro.qaoa.expectation import maxcut_expectation
 from repro.qaoa.fast_sim import qaoa_expectation_fast
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
-from repro.qaoa.lightcone import lightcone_expectation
+from repro.qaoa.lightcone import LightconePlan
+
+
+def _cone(g, gammas, betas):
+    return LightconePlan.build(g, len(gammas)).evaluate(gammas, betas)
 
 
 def _weighted_sparse(n, p_edge, seed, distribution="uniform"):
@@ -43,7 +47,7 @@ class TestWeightedLightconeRegression:
     def test_pinned_weighted_cycle_value(self):
         """The exact value the seed's lightcone engine got wrong."""
         g = _weighted_six_cycle()
-        value = lightcone_expectation(g, [0.6], [0.35])
+        value = _cone(g, [0.6], [0.35])
         assert value == pytest.approx(5.2609333244663095, abs=1e-9)
         # The seed returned the unweighted readout of one shared cache
         # entry times the edge count -- make sure that never comes back.
@@ -52,7 +56,7 @@ class TestWeightedLightconeRegression:
     def test_weighted_cycle_matches_statevector(self):
         g = _weighted_six_cycle()
         exact = qaoa_expectation_fast(MaxCutHamiltonian(g), [0.6], [0.35])
-        assert lightcone_expectation(g, [0.6], [0.35]) == pytest.approx(exact, abs=1e-9)
+        assert _cone(g, [0.6], [0.35]) == pytest.approx(exact, abs=1e-9)
 
     def test_signature_distinguishes_weights(self):
         """Same topology, different weights: no cache cross-talk."""
@@ -60,11 +64,11 @@ class TestWeightedLightconeRegression:
         h = nx.cycle_graph(6)
         for u, v in h.edges():
             h[u][v]["weight"] = 1.0
-        weighted = lightcone_expectation(g, [0.6], [0.35])
-        unit = lightcone_expectation(h, [0.6], [0.35])
+        weighted = _cone(g, [0.6], [0.35])
+        unit = _cone(h, [0.6], [0.35])
         assert weighted != pytest.approx(unit, abs=1e-6)
         assert unit == pytest.approx(
-            lightcone_expectation(nx.cycle_graph(6), [0.6], [0.35]), abs=1e-12
+            _cone(nx.cycle_graph(6), [0.6], [0.35]), abs=1e-12
         )
 
     def test_acceptance_24_node_weighted_p2(self):
@@ -73,14 +77,14 @@ class TestWeightedLightconeRegression:
         g = attach_weights(nx.random_regular_graph(3, 24, seed=5), "uniform", seed=5)
         gammas, betas = [0.7, 0.3], [0.25, 0.5]
         auto = maxcut_expectation(g, gammas, betas)
-        direct = maxcut_expectation(g, gammas, betas, method="statevector")
+        direct = qaoa_expectation_fast(MaxCutHamiltonian(g), gammas, betas)
         assert auto == pytest.approx(direct, abs=1e-9)
 
     def test_spin_glass_couplings(self):
         """+/-1 couplings (negative weights) agree across engines."""
         g = _weighted_sparse(10, 0.25, 3, distribution="spin")
         exact = qaoa_expectation_fast(MaxCutHamiltonian(g), [0.8, 0.4], [0.3, 0.6])
-        cone = lightcone_expectation(g, [0.8, 0.4], [0.3, 0.6])
+        cone = _cone(g, [0.8, 0.4], [0.3, 0.6])
         assert cone == pytest.approx(exact, abs=1e-9)
 
 
@@ -98,7 +102,7 @@ def test_property_p1_three_engines_agree_weighted(seed, gamma, beta):
     g = _weighted_sparse(n, 0.3, seed)
     exact = qaoa_expectation_fast(MaxCutHamiltonian(g), [gamma], [beta])
     analytic = maxcut_p1_expectation(g, gamma, beta)
-    cone = lightcone_expectation(g, [gamma], [beta])
+    cone = _cone(g, [gamma], [beta])
     assert analytic == pytest.approx(exact, abs=1e-8)
     assert cone == pytest.approx(exact, abs=1e-8)
 
@@ -121,18 +125,18 @@ def test_property_p2_lightcone_matches_statevector_weighted(
     g = _weighted_sparse(n, 0.25, seed)
     gammas, betas = [gamma1, gamma2], [beta1, beta2]
     exact = qaoa_expectation_fast(MaxCutHamiltonian(g), gammas, betas)
-    cone = lightcone_expectation(g, gammas, betas)
+    cone = _cone(g, gammas, betas)
     assert cone == pytest.approx(exact, abs=1e-8)
 
 
 class TestAutoDispatchWeighted:
     def test_large_weighted_p1_routes_analytic(self):
-        """Above exact_limit at p=1 the analytic weighted form is used and
+        """Above EXACT_LIMIT at p=1 the analytic weighted form is used and
         agrees with the lightcone engine."""
         g = attach_weights(nx.random_regular_graph(3, 30, seed=2), "gaussian", seed=2)
         auto = maxcut_expectation(g, [0.5], [0.3])
-        cone = maxcut_expectation(g, [0.5], [0.3], method="lightcone")
-        assert auto == pytest.approx(cone, abs=1e-9)
+        assert auto == maxcut_p1_expectation(g, 0.5, 0.3)
+        assert auto == pytest.approx(_cone(g, [0.5], [0.3]), abs=1e-9)
 
     def test_small_weighted_routes_statevector(self):
         g = _weighted_sparse(8, 0.4, 11)
