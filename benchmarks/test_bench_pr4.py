@@ -23,7 +23,7 @@ range, and sampled solutions recover a large fraction of the optimum.
 import numpy as np
 
 from _common import BENCH_DIR, header, row, run_once, write_bench
-from repro.core.reduction import GraphReducer
+from repro.core.reduction import GraphReducer, and_ratio
 from repro.datasets import problem_instance
 from repro.problems import problem_expectation
 from repro.qaoa.fast_sim import qaoa_probabilities
@@ -62,20 +62,6 @@ def _sample_best(problem, gammas, betas, seed):
     return float(problem.diagonal[outcomes].max())
 
 
-def _and_ratio(graph, nodes):
-    """Field-aware AND ratio of an arbitrary node subset (self-loops count).
-
-    Same definition the reducer scores its own result with
-    (``ProblemReductionResult.and_ratio``); needed here only for the
-    random-subgraph baseline, which the reducer never sees.
-    """
-    sub = graph.subgraph(nodes)
-    original = average_node_strength(graph)
-    reduced = average_node_strength(sub)
-    ratio = reduced / original
-    return ratio if ratio <= 1.0 else 1.0 / ratio
-
-
 def _workload_section(kind, kwargs, seed):
     problem = problem_instance(kind, NUM_QUBITS, seed=seed, **kwargs)
     best = problem.best_value(method="dense")
@@ -89,7 +75,12 @@ def _workload_section(kind, kwargs, seed):
     random_sub = problem.subproblem(random_nodes)
 
     sa_ratio = reduction.and_ratio
-    random_ratio = _and_ratio(coupling, random_nodes)
+    # The reducer never sees the random baseline, so score it here with the
+    # same field-aware (self-loops count) AND ratio the reducer uses.
+    random_ratio = and_ratio(
+        average_node_strength(coupling),
+        average_node_strength(coupling.subgraph(random_nodes)),
+    )
 
     # Reduced-vs-random transfer quality at p=1 under an identical budget.
     sa_transfer, _ = _optimize_and_transfer(problem, reduction.subproblem, 1, seed)

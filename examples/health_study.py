@@ -118,11 +118,7 @@ def post_mortem(history_path: Path) -> None:
     regressed = {
         "label": "regressed",
         "metrics": {
-            "serve_jobs_per_sec": {
-                "value": jobs_per_sec * 0.3,
-                "kind": "rate",
-                "direction": "higher",
-            }
+            "serve_jobs_per_sec": {"value": jobs_per_sec * 0.3, "better": "higher"}
         },
     }
     outcome = compare([baseline, regressed])

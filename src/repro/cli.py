@@ -375,18 +375,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="record and gate benchmark results against history",
+        help="record and gate jobbench records against same-host history",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_compare = bench_sub.add_parser(
         "compare",
-        help="compare BENCH/trajectory/history files chronologically; "
-             "nonzero exit on regression",
+        help="compare jobbench records, trajectory lines and flight-recorder "
+             "history chronologically, each metric against the last one from "
+             "the same host; nonzero exit on a drop beyond its BENCHMARK.json "
+             "bound",
     )
     bench_compare.add_argument(
         "files", nargs="+",
-        help="BENCH_*.json, trajectory .jsonl, or flight-recorder history "
-             "files, oldest first")
+        help="untraced jobbench records (.jobbench/records/*-trace0.json), "
+             "trajectory .jsonl, or flight-recorder history files, oldest first")
     bench_compare.add_argument("--floor", type=float, default=None,
                                help="widen every noise floor to at least this "
                                     "fraction (e.g. 0.4)")
@@ -397,12 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="emit the comparison as JSON")
     bench_record = bench_sub.add_parser(
         "record",
-        help="normalise BENCH files into one trajectory record",
+        help="turn one host's jobbench records into one trajectory line",
     )
     bench_record.add_argument("files", nargs="+",
-                              help="BENCH_*.json files to normalise")
+                              help="untraced jobbench records from one host "
+                                   "(.jobbench/records/*-trace0.json)")
     bench_record.add_argument("--label", required=True,
-                              help="record label (e.g. pr6, ci-2026-08-08)")
+                              help="record label (e.g. pr18, ci-2026-08-08)")
     bench_record.add_argument("--out", default=None, metavar="FILE",
                               help="append the record to this trajectory JSONL "
                                    "(default: print it)")
@@ -963,8 +966,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             record = make_record(args.label, args.files)
         except (OSError, ValueError, KeyError) as exc:
             raise SystemExit(f"error reading benchmark files: {exc}")
-        if not record["metrics"]:
-            raise SystemExit("no recognised metrics in the given files")
         if args.out is not None:
             append_record(args.out, record)
             print(f"recorded {len(record['metrics'])} metrics as "

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.core.reduction import GraphReducer, ReductionResult
+from repro.core.reduction import GraphReducer, ReductionResult, and_ratio
 from repro.obs.metrics import REGISTRY
 from repro.utils.graphs import average_node_strength, ensure_graph, is_weighted
 
@@ -159,9 +159,7 @@ class ReductionCache:
             entry = self._by_id[entry_id]
             if entry.graph.number_of_nodes() >= graph.number_of_nodes():
                 continue
-            ratio = entry.and_value / target
-            ratio = ratio if ratio <= 1.0 else 1.0 / ratio
-            if ratio < self.reducer.and_ratio_threshold:
+            if and_ratio(target, entry.and_value) < self.reducer.and_ratio_threshold:
                 continue
             gap = abs(entry.and_value - target)
             if gap < best_gap:

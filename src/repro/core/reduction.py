@@ -24,10 +24,20 @@ __all__ = [
     "GraphReducer",
     "ProblemReductionResult",
     "ReductionResult",
+    "and_ratio",
     "check_and_ratio_threshold",
 ]
 
 DEFAULT_AND_RATIO_THRESHOLD = 0.7
+
+
+def and_ratio(original_and: float, reduced_and: float) -> float:
+    """Symmetric AND ratio in [0, 1]: ``reduced/original``, inverted when
+    above 1, and 0 when either side is 0."""
+    if original_and == 0.0 or reduced_and == 0.0:
+        return 0.0
+    ratio = reduced_and / original_and
+    return ratio if ratio <= 1.0 else 1.0 / ratio
 
 
 def check_and_ratio_threshold(value) -> None:
@@ -259,12 +269,8 @@ class GraphReducer:
     def _and_ratio(graph: nx.Graph, result: AnnealResult) -> float:
         """Weighted (strength-based) AND ratio; equals the paper's unweighted
         ratio exactly when all weights are 1."""
-        original = average_node_strength(graph)
         sub = average_node_strength(result.subgraph) if result.subgraph.number_of_nodes() else 0.0
-        if original == 0.0 or sub == 0.0:
-            return 0.0
-        ratio = sub / original
-        return ratio if ratio <= 1.0 else 1.0 / ratio
+        return and_ratio(average_node_strength(graph), sub)
 
     def _build_result(self, graph: nx.Graph, result: AnnealResult) -> ReductionResult:
         try:

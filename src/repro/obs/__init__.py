@@ -23,8 +23,10 @@ Layer two, built on those primitives:
 - :mod:`repro.obs.top` -- the ``red-qaoa top`` terminal dashboard over
   the ``status``/``health`` verbs;
 - :mod:`repro.obs.regress` -- noise-aware benchmark regression gating
-  (``red-qaoa bench compare``) over recorded BENCH/trajectory/history
-  files.
+  (``red-qaoa bench record/compare``) over one bench schema, the
+  untraced ``jobbench`` record, plus trajectory lines and flight-recorder
+  history: floors are the bounds ``BENCHMARK.json`` declares, and a
+  record is compared only with baselines from the same host.
 
 Everything here is a pure side channel: enabling any of it changes no
 fingerprint, seed, or result bit.

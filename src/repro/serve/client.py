@@ -17,7 +17,7 @@ import socket
 import time
 from pathlib import Path
 
-from repro.serve.protocol import ProtocolError, decode_line, encode
+from repro.serve.protocol import decode_reply, encode
 
 __all__ = ["Backpressure", "ServeClient", "ServeError", "wait_for_socket"]
 
@@ -170,18 +170,3 @@ class ServeClient:
 
     def shutdown(self) -> dict:
         return self.request({"op": "shutdown"})
-
-
-def decode_reply(line: bytes | str) -> dict:
-    """Parse one reply line (replies have no ``op``, so skip that check)."""
-    import json
-
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
-    try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"not valid JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError(f"expected a JSON object, got {type(message).__name__}")
-    return message

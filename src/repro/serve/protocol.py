@@ -51,6 +51,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "decode_line",
+    "decode_reply",
     "encode",
     "error_reply",
     "ok_reply",
@@ -79,16 +80,24 @@ def encode(message: dict) -> bytes:
     return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def decode_line(line: str | bytes) -> dict:
-    """One line -> one validated request mapping (raises :class:`ProtocolError`)."""
+def decode_reply(line: str | bytes) -> dict:
+    """One line -> one JSON object, unvalidated (replies carry no ``op``)."""
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past Python's digit limit, and
+        # RecursionError a deeply nested line: both are bad input, not a crash.
         raise ProtocolError(f"not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(f"expected a JSON object, got {type(message).__name__}")
+    return message
+
+
+def decode_line(line: str | bytes) -> dict:
+    """One line -> one validated request mapping (raises :class:`ProtocolError`)."""
+    message = decode_reply(line)
     op = message.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r} (supported: {', '.join(OPS)})")

@@ -48,7 +48,7 @@ import networkx as nx
 
 from repro.core.annealer import AnnealResult
 from repro.core.cache import ReductionCache
-from repro.core.reduction import ReductionResult
+from repro.core.reduction import ReductionResult, and_ratio
 from repro.obs.trace import get_tracer, span, trace_job
 from repro.qaoa.expectation import EngineLimitError
 from repro.qaoa.lightcone import PlanCache
@@ -352,13 +352,8 @@ def _reduction_from_bank(spec: JobSpec, banked) -> ReductionResult:
     """
     graph = spec.canonical().instance
     distilled = nx.Graph(banked.graph)
-    original = average_node_strength(graph)
     reduced = average_node_strength(distilled) if distilled.number_of_nodes() else 0.0
-    if original == 0.0 or reduced == 0.0:
-        ratio = 0.0
-    else:
-        ratio = reduced / original
-        ratio = ratio if ratio <= 1.0 else 1.0 / ratio
+    ratio = and_ratio(average_node_strength(graph), reduced)
     return ReductionResult(
         original_graph=graph,
         nodes=set(distilled.nodes()),

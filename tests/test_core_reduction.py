@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reduction import GraphReducer
+from repro.core.reduction import GraphReducer, and_ratio
 from repro.utils.graphs import average_node_degree
 
 
@@ -115,6 +115,14 @@ class TestValidation:
         result = GraphReducer(seed=0).reduce(g)
         assert len(result.nodes) == 3
         assert result.node_reduction == 0.0
+
+
+def test_and_ratio_is_symmetric_and_zero_on_an_empty_side():
+    assert and_ratio(4.0, 3.0) == 0.75
+    assert and_ratio(3.0, 4.0) == 0.75
+    assert and_ratio(2.5, 2.5) == 1.0
+    assert and_ratio(0.0, 3.0) == 0.0
+    assert and_ratio(3.0, 0.0) == 0.0
 
 
 @settings(max_examples=10, deadline=None)

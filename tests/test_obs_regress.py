@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.obs.regress import (
+    DEFAULT_FLOOR,
+    REGRESS_SCHEMA,
     append_record,
     compare,
     extract_metrics,
@@ -18,71 +20,91 @@ from repro.obs.regress import (
 
 HISTORY = Path(__file__).resolve().parent.parent / "benchmarks" / "history"
 
+DECLARED = [
+    {"name": "jobs_per_s", "unit": "jobs/s", "better": "higher", "bound": 0.25},
+    {"name": "job_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "success_ratio", "unit": "ok/attempted", "better": "higher", "bound": 0.01},
+]
+HOST = ("Test CPU @ 2.0GHz", 2)
 
-def _rate(value, samples=None):
-    metric = {"value": value, "kind": "rate", "direction": "higher"}
+
+@pytest.fixture
+def root(tmp_path):
+    """A checkout-like directory: ``BENCHMARK.json`` above ``.jobbench/records``."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": DECLARED,
+        "per_layer": [{"name": "reduce.ms", "unit": "ms", "better": "lower"}],
+    }))
+    return tmp_path
+
+
+def _jobbench(root, workload="small-mix", seed=0, trace=0, host=HOST, problems=(), **values):
+    """Write one record in jobbench's schema; return its path."""
+    values = {"jobs_per_s": 10.0, "job_ms_p50": 100.0, "success_ratio": 1.0, **values}
+    declared = {spec["name"]: spec for spec in DECLARED}
+    record = {
+        "workload": workload,
+        "seed": seed,
+        "trace": trace,
+        "stamp": {"host": "box", "cpu": host[0], "nproc": host[1], "seed": seed},
+        "metrics": {
+            name: {"value": value, "unit": declared[name]["unit"],
+                   "better": declared[name]["better"], "detail": ""}
+            for name, value in values.items()
+        },
+        "checks": {"passed": ["4 jobs"], "problems": list(problems)},
+    }
+    path = root / ".jobbench" / "records" / f"{workload}-seed{seed}-trace{trace}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record))
+    return path
+
+
+def _rate(value, samples=None, better="higher", **extra):
+    metric = {"value": value, "better": better, **extra}
     if samples:
         metric["samples"] = samples
     return metric
 
 
-def _record(label, **metrics):
-    return {"label": label, "metrics": metrics}
+def _record(label, host=None, **metrics):
+    return {"label": label, "host": host, "metrics": metrics}
 
 
 class TestExtraction:
-    def test_pr3_shape(self):
-        payload = {
-            "sa_reducer": {"100": {"incremental_steps_per_sec": 1000.0}},
-            "lightcone": {"plan_points_per_sec": 200.0},
+    def test_metric_naming_direction_and_bound(self, root):
+        host, metrics = extract_metrics(_jobbench(root, workload="dense-20", job_ms_p50=80.0))
+        assert host == HOST
+        assert sorted(metrics) == [
+            "dense-20/job_ms_p50", "dense-20/jobs_per_s", "dense-20/success_ratio",
+        ]
+        assert metrics["dense-20/job_ms_p50"] == {
+            "value": 80.0, "unit": "ms", "better": "lower", "bound": 0.25,
         }
-        metrics = extract_metrics(payload)
-        assert metrics["sa_steps_per_sec_n100"]["value"] == 1000.0
-        assert metrics["sa_steps_per_sec_n100"]["kind"] == "rate"
-        assert metrics["lightcone_points_per_sec"]["value"] == 200.0
+        assert metrics["dense-20/success_ratio"]["bound"] == 0.01
 
-    def test_pr4_shape_is_quality(self):
-        payload = {
-            "mis": {"and_ratio_sa": 0.99, "depths": {"1": {"sampled_ratio": 1.0}}},
-            "sk": {"and_ratio_sa": 0.77, "depths": {"1": {"sampled_ratio": 0.9}}},
-        }
-        metrics = extract_metrics(payload)
-        assert metrics["mis_and_ratio"]["kind"] == "quality"
-        assert metrics["sk_sampled_ratio_p1"]["value"] == 0.9
+    def test_refuses_traced_record(self, root):
+        path = _jobbench(root, trace=1)
+        with pytest.raises(ValueError, match="traced record") as exc:
+            extract_metrics(path)
+        assert str(path) in str(exc.value) and "\n" not in str(exc.value)
 
-    def test_pr5_shape_has_exact_flags(self):
-        payload = {
-            "speedup": 3.0,
-            "bit_identical_batched_vs_sequential": True,
-            "bit_identical_resumed_vs_batched": True,
-        }
-        metrics = extract_metrics(payload)
-        assert metrics["batch_speedup"]["kind"] == "rate"
-        assert metrics["bit_identical_batched_vs_sequential"] == {
-            "value": 1.0, "kind": "exact", "direction": "higher",
-        }
+    def test_refuses_record_whose_checks_failed(self, root):
+        path = _jobbench(root, problems=["job 3: traced result differs from untraced"])
+        with pytest.raises(ValueError, match="broken program: job 3") as exc:
+            extract_metrics(path)
+        assert str(path) in str(exc.value)
 
-    def test_pr6_excludes_oversubscribed_rows(self):
-        payload = {
-            "daemon": [
-                {"workers": 1, "jobs_per_sec": 10.0, "oversubscribed": False},
-                {"workers": 4, "jobs_per_sec": 2.0, "oversubscribed": True},
-            ],
-            "bit_identical_all_worker_counts_vs_sequential": True,
-        }
-        metrics = extract_metrics(payload)
-        assert "serve_jobs_per_sec_w1" in metrics
-        assert "serve_jobs_per_sec_w4" not in metrics
-        assert metrics["serve_bit_identical"]["value"] == 1.0
+    def test_refuses_record_without_declaration(self, tmp_path_factory):
+        path = _jobbench(tmp_path_factory.mktemp("undeclared"))
+        with pytest.raises(ValueError, match="no BENCHMARK.json") as exc:
+            extract_metrics(path)
+        assert str(path) in str(exc.value)
 
-    def test_unrecognised_payload_yields_nothing(self):
-        assert extract_metrics({"mystery": 1}) == {}
-        assert extract_metrics([1, 2]) == {}
-
-    def test_all_checked_in_bench_files_are_recognised(self):
-        for name in ("BENCH_pr3", "BENCH_pr4", "BENCH_pr5", "BENCH_pr6"):
-            payload = json.loads((HISTORY / f"{name}.json").read_text())
-            assert extract_metrics(payload), f"{name} extracted no metrics"
+    def test_refuses_record_missing_a_declared_metric(self, root):
+        path = _jobbench(root, success_ratio=None)
+        with pytest.raises(ValueError, match="success_ratio has no finite value"):
+            extract_metrics(path)
 
     def test_history_snapshots_become_throughput_with_samples(self):
         def snap(seq, unix, total):
@@ -98,14 +120,14 @@ class TestExtraction:
         )
         metric = metrics["serve_jobs_per_sec"]
         assert metric["value"] == pytest.approx(9.5)
+        assert metric["better"] == "higher"
         assert metric["samples"] == [10.0, 9.0]
 
 
 class TestNoiseFloors:
-    def test_static_floors_by_kind(self):
-        assert noise_floor({"kind": "rate", "value": 1.0}) == 0.25
-        assert noise_floor({"kind": "quality", "value": 1.0}) == 0.05
-        assert noise_floor({"kind": "exact", "value": 1.0}) == 0.0
+    def test_declared_bound_or_default_floor(self):
+        assert noise_floor(_rate(1.0, bound=0.01)) == 0.01
+        assert noise_floor(_rate(1.0)) == DEFAULT_FLOOR == 0.25
 
     def test_dispersion_floor_from_samples(self):
         jittery = _rate(100.0, samples=[60.0, 100.0, 140.0])
@@ -117,7 +139,7 @@ class TestNoiseFloors:
         metric = _rate(100.0)
         assert noise_floor(metric, default_floor=0.5) == 0.5
         assert noise_floor(metric, default_floor=0.01) == 0.25
-        assert noise_floor({"kind": "exact", "value": 1.0}, default_floor=0.5) == 0.0
+        assert noise_floor(_rate(1.0, bound=0.01), default_floor=0.5) == 0.5
 
 
 class TestCompare:
@@ -133,19 +155,22 @@ class TestCompare:
     def test_drop_within_floor_passes(self):
         outcome = compare([
             _record("base", m=_rate(100.0)),
-            _record("next", m=_rate(85.0)),  # -15% < 25% rate floor
+            _record("next", m=_rate(85.0)),  # -15% < 25% default floor
         ])
         assert outcome["ok"] and len(outcome["rows"]) == 1
 
-    def test_exact_metric_gates_any_drop(self):
-        exact = {"value": 1.0, "kind": "exact", "direction": "higher"}
-        broken = {"value": 0.0, "kind": "exact", "direction": "higher"}
-        assert compare([_record("a", flag=exact), _record("b", flag=exact)])["ok"]
-        assert not compare([_record("a", flag=exact), _record("b", flag=broken)])["ok"]
+    def test_declared_bound_gates_the_drop(self, root):
+        records = load_records([
+            _jobbench(root, seed=1, success_ratio=1.0, jobs_per_s=10.0),
+            _jobbench(root, seed=2, success_ratio=0.95, jobs_per_s=8.0),
+        ])
+        outcome = compare(records)
+        [row] = outcome["regressions"]  # -5% beyond 1%; -20% within 25%
+        assert row["metric"] == "small-mix/success_ratio" and row["floor"] == 0.01
 
     def test_lower_is_better_direction(self):
-        fast = {"value": 1.0, "kind": "rate", "direction": "lower"}
-        slow = {"value": 2.0, "kind": "rate", "direction": "lower"}
+        fast = _rate(1.0, better="lower")
+        slow = _rate(2.0, better="lower")
         assert not compare([_record("a", lat=fast), _record("b", lat=slow)])["ok"]
         assert compare([_record("a", lat=slow), _record("b", lat=fast)])["ok"]
 
@@ -165,6 +190,19 @@ class TestCompare:
         ])
         assert outcome["ok"] and outcome["rows"] == []
 
+    def test_other_host_baseline_is_ignored(self):
+        outcome = compare([
+            _record("vm", host=HOST, m=_rate(100.0)),
+            _record("ci", host=("Other CPU", 4), m=_rate(10.0)),  # no baseline
+            _record("ci-2", host=("Other CPU", 4), m=_rate(9.0)),
+            _record("vm-2", host=HOST, m=_rate(95.0)),  # against vm, not ci-2
+            _record("legacy", m=_rate(1.0)),  # hostless: compares with no one
+        ])
+        assert outcome["ok"]
+        assert [(row["baseline_label"], row["label"]) for row in outcome["rows"]] == [
+            ("ci", "ci-2"), ("vm", "vm-2"),
+        ]
+
     def test_recorded_repo_trajectory_is_clean(self):
         trajectory = HISTORY / "trajectory.jsonl"
         records = load_records([trajectory])
@@ -172,26 +210,44 @@ class TestCompare:
         assert compare(records)["ok"]
 
 
-class TestBenchCli:
-    def _write_pair(self, tmp_path):
-        base = {"daemon": [{"workers": 1, "jobs_per_sec": 100.0,
-                            "oversubscribed": False}],
-                "bit_identical_all_worker_counts_vs_sequential": True}
-        regressed = {"daemon": [{"workers": 1, "jobs_per_sec": 30.0,
-                                 "oversubscribed": False}],
-                     "bit_identical_all_worker_counts_vs_sequential": True}
-        (tmp_path / "base.json").write_text(json.dumps(base))
-        (tmp_path / "regressed.json").write_text(json.dumps(regressed))
-        return tmp_path / "base.json", tmp_path / "regressed.json"
+class TestRecords:
+    def test_record_carries_host_and_schema(self, root):
+        record = make_record("pr", [
+            _jobbench(root, workload="small-mix"), _jobbench(root, workload="dense-20"),
+        ])
+        assert record["schema"] == REGRESS_SCHEMA == 2
+        assert record["host"] == list(HOST)
+        assert record["sources"] == ["small-mix-seed0-trace0.json", "dense-20-seed0-trace0.json"]
+        assert len(record["metrics"]) == 2 * len(DECLARED)
+        assert all("kind" not in metric for metric in record["metrics"].values())
 
-    def test_compare_exits_nonzero_on_synthetic_regression(self, tmp_path, capsys):
-        base, regressed = self._write_pair(tmp_path)
+    def test_record_refuses_two_hosts(self, root):
+        paths = [_jobbench(root, seed=1), _jobbench(root, seed=2, host=("Other CPU", 8))]
+        with pytest.raises(ValueError, match="2 hosts"):
+            make_record("mixed", paths)
+
+    def test_trajectory_line_keeps_its_host(self, root, tmp_path):
+        out = tmp_path / "trajectory.jsonl"
+        append_record(out, make_record("vm", [_jobbench(root)]))
+        [record] = load_records([out])
+        assert record["host"] == HOST
+        assert record["metrics"]["small-mix/jobs_per_s"]["value"] == 10.0
+
+
+class TestBenchCli:
+    def _write_pair(self, root):
+        base = _jobbench(root, workload="serve-mix", seed=1, jobs_per_s=100.0)
+        regressed = _jobbench(root, workload="serve-mix", seed=2, jobs_per_s=30.0)
+        return base, regressed
+
+    def test_compare_exits_nonzero_on_synthetic_regression(self, root, capsys):
+        base, regressed = self._write_pair(root)
         assert main(["bench", "compare", str(base), str(regressed)]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSED" in out and "serve_jobs_per_sec_w1" in out
+        assert "REGRESSED" in out and "serve-mix/jobs_per_s" in out
 
-    def test_compare_advisory_reports_but_exits_zero(self, tmp_path, capsys):
-        base, regressed = self._write_pair(tmp_path)
+    def test_compare_advisory_reports_but_exits_zero(self, root, capsys):
+        base, regressed = self._write_pair(root)
         assert main(["bench", "compare", "--advisory", str(base), str(regressed)]) == 0
         assert "ADVISORY" in capsys.readouterr().out
 
@@ -199,36 +255,52 @@ class TestBenchCli:
         trajectory = HISTORY / "trajectory.jsonl"
         assert main(["bench", "compare", str(trajectory)]) == 0
 
-    def test_compare_real_bench_files_against_trajectory(self, capsys):
-        # CI's advisory gate: BENCH emissions vs the recorded history
+    def test_compare_jobbench_records_against_trajectory(self, root, capsys):
+        # CI's advisory gate: fresh records vs the recorded history
         trajectory = HISTORY / "trajectory.jsonl"
-        code = main([
-            "bench", "compare", "--advisory", str(trajectory),
-            str(HISTORY / "BENCH_pr3.json"), str(HISTORY / "BENCH_pr5.json"),
-        ])
+        records = [_jobbench(root, workload=name) for name in ("small-mix", "dense-20")]
+        code = main(["bench", "compare", "--advisory", str(trajectory), *map(str, records)])
         assert code == 0
 
-    def test_compare_json_output(self, tmp_path, capsys):
-        base, regressed = self._write_pair(tmp_path)
+    @pytest.mark.parametrize("refused", ["traced", "checks", "undeclared"])
+    def test_refused_input_exits_one_with_one_error_line(self, root, tmp_path_factory, refused):
+        path = {
+            "traced": lambda: _jobbench(root, trace=1),
+            "checks": lambda: _jobbench(root, problems=["job 0: no result"]),
+            "undeclared": lambda: _jobbench(tmp_path_factory.mktemp("undeclared")),
+        }[refused]()
+        for argv in (["bench", "compare", str(path)],
+                     ["bench", "record", "--label", "x", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            message = exc.value.code
+            assert isinstance(message, str)  # SystemExit(str) exits 1
+            assert message.startswith("error reading benchmark files: ")
+            assert str(path) in message and "\n" not in message
+
+    def test_compare_json_output(self, root, capsys):
+        base, regressed = self._write_pair(root)
         main(["bench", "compare", "--json", str(base), str(regressed)])
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["regressions"][0]["metric"] == "serve_jobs_per_sec_w1"
+        assert payload["regressions"][0]["metric"] == "serve-mix/jobs_per_s"
+        assert payload["regressions"][0]["better"] == "higher"
 
-    def test_record_appends_normalised_trajectory_entry(self, tmp_path, capsys):
-        base, _ = self._write_pair(tmp_path)
+    def test_record_appends_normalised_trajectory_entry(self, root, tmp_path, capsys):
+        base, _ = self._write_pair(root)
         out = tmp_path / "trajectory.jsonl"
         assert main(["bench", "record", "--label", "ci", "--out", str(out),
                      str(base)]) == 0
         [line] = out.read_text().splitlines()
         record = json.loads(line)
         assert record["label"] == "ci" and record["kind"] == "bench"
-        assert "serve_jobs_per_sec_w1" in record["metrics"]
+        assert record["host"] == list(HOST)
+        assert "serve-mix/jobs_per_s" in record["metrics"]
         # and the trajectory it builds round-trips through the gate
         assert main(["bench", "compare", str(out), str(base)]) == 0
 
-    def test_round_trip_record_then_regress(self, tmp_path):
-        base, regressed = self._write_pair(tmp_path)
+    def test_round_trip_record_then_regress(self, root, tmp_path):
+        base, regressed = self._write_pair(root)
         out = tmp_path / "trajectory.jsonl"
         append_record(out, make_record("baseline", [base]))
         assert main(["bench", "compare", str(out), str(regressed)]) == 1

@@ -1,13 +1,17 @@
 """Tests for repro.serve daemon + protocol + client over a real unix socket."""
 
 import contextlib
+import json
+import socket
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.client import Backpressure, ServeClient, ServeError, wait_for_socket
 from repro.serve.daemon import ServeDaemon
-from repro.serve.protocol import ProtocolError, decode_line, encode
+from repro.serve.protocol import OPS, ProtocolError, decode_line, decode_reply, encode
 from repro.service.campaign import manifest_specs
 from repro.service.jobs import run_job
 from repro.service.store import ResultStore
@@ -67,6 +71,33 @@ class TestProtocol:
             decode_line(b'{"op": "submit"}\n')  # missing manifest
         with pytest.raises(ProtocolError):
             decode_line(b'{"op": "poll"}\n')  # missing ticket
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=12,
+)
+# Mappings shaped like requests, so the property also reaches the op checks.
+_REQUESTS = st.dictionaries(
+    st.sampled_from(["op", "manifest", "ticket"]) | st.text(max_size=4),
+    st.sampled_from(OPS) | _JSON,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.binary() | st.one_of(_JSON, _REQUESTS).map(json.dumps))
+@example(line=b"[" * 100000)
+@example(line="1" * 5000)
+def test_property_any_line_decodes_to_a_request_or_refuses(line):
+    """Every line either decodes to a request with a known op or raises
+    ProtocolError -- never another exception, which would kill the
+    connection without a reply."""
+    try:
+        message = decode_line(line)
+    except ProtocolError:
+        return
+    assert isinstance(message, dict) and message["op"] in OPS
 
 
 class TestLifecycle:
@@ -173,6 +204,19 @@ class TestRefusals:
                     client.submit(manifest)
                 assert daemon.queue.depth == 0
                 assert daemon.tickets == {}
+
+    def test_deeply_nested_line_gets_an_error_reply_and_the_connection_lives(self, tmp_path):
+        with _daemon(tmp_path) as (daemon, client):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+                conn.settimeout(30)
+                conn.connect(str(daemon.socket_path))
+                with conn.makefile("rwb") as stream:
+                    stream.write(b"[" * 100000 + b"\n" + encode({"op": "status"}))
+                    stream.flush()
+                    refused = decode_reply(stream.readline())
+                    status = decode_reply(stream.readline())
+            assert refused["ok"] is False and "not valid JSON" in refused["error"]
+            assert status["ok"] is True and status["queue"]["depth"] == 0
 
     def test_drain_refuses_new_submissions(self, tmp_path):
         with _daemon(tmp_path) as (daemon, client):
