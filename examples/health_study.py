@@ -14,8 +14,9 @@ Walks layer two of ``repro.obs`` end to end, in one process:
 4. render one ``red-qaoa top`` frame against the live daemon;
 5. shut down, then read the flight-recorder ring back into time series
    (throughput from counter deltas, queue-depth curve);
-6. feed the recorded history plus a synthetic "regressed" benchmark
-   through the noise-aware ``bench compare`` gate.
+6. feed the recorded history plus two synthetic slowdowns, sized from
+   the history's measured noise floor, through the noise-aware
+   ``bench compare`` gate: half the floor passes, twice the floor trips.
 
 Usage::
 
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from repro.datasets import suite_manifest
 from repro.obs.history import HistorySeries
-from repro.obs.regress import compare, metrics_from_history
+from repro.obs.regress import compare, metrics_from_history, noise_floor
 from repro.obs.top import Top
 from repro.serve import ServeClient, ServeDaemon, wait_for_socket
 from repro.service.campaign import manifest_specs
@@ -109,27 +110,31 @@ def post_mortem(history_path: Path) -> None:
     if depth:
         print(f"queue depth curve: {[int(v) for _, v in depth[:12]]} ...")
 
-    print("\n=== bench gate: recorded history vs a synthetic regression ===")
-    baseline = {
-        "label": "recorded",
-        "metrics": metrics_from_history(series.records),
-    }
-    jobs_per_sec = baseline["metrics"]["serve_jobs_per_sec"]["value"]
-    regressed = {
-        "label": "regressed",
-        "metrics": {
-            "serve_jobs_per_sec": {"value": jobs_per_sec * 0.3, "better": "higher"}
-        },
-    }
-    outcome = compare([baseline, regressed])
-    for row in outcome["rows"]:
-        flag = "REGRESSED" if row["regressed"] else "ok"
+    print("\n=== bench gate: recorded history vs synthetic slowdowns ===")
+    # The recorded intervals as seconds per job (lower is better): the
+    # floor is max(5%, 2 cv) of these few bursty intervals and can exceed
+    # 100%, which no throughput drop can, but a slowdown always can.
+    rates = metrics_from_history(series.records)["serve_jobs_per_sec"]["samples"]
+    seconds = [1.0 / rate for rate in rates]
+    recorded = {"value": sum(seconds) / len(seconds), "better": "lower", "samples": seconds}
+    floor = noise_floor(recorded)
+    for label, slowdown, expect_regressed in (
+        ("within-floor", 0.5 * floor, False),
+        ("regressed", 2.0 * floor, True),
+    ):
+        synthetic = {"value": recorded["value"] * (1.0 + slowdown), "better": "lower"}
+        outcome = compare([
+            {"label": "recorded", "metrics": {"serve_s_per_job": recorded}},
+            {"label": label, "metrics": {"serve_s_per_job": synthetic}},
+        ])
+        (row,) = outcome["rows"]
         print(
-            f"  {row['metric']}: {row['baseline']:.2f} -> {row['value']:.2f} "
-            f"({row['change'] * 100:+.1f}% vs floor {row['floor'] * 100:.0f}%) {flag}"
+            f"  {label}: {row['baseline']:.3f} -> {row['value']:.3f} s/job "
+            f"({row['change'] * 100:+.1f}% vs floor {row['floor'] * 100:.0f}%) "
+            f"{'REGRESSED' if row['regressed'] else 'ok'}"
         )
-    assert not outcome["ok"], "a -70% throughput drop must trip the gate"
-    print("gate verdict: regression caught")
+        assert row["regressed"] == expect_regressed, label
+    print("gate verdict: the slowdown past the floor is caught, the one inside it is not")
 
 
 def main() -> None:

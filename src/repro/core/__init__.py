@@ -19,7 +19,7 @@ from repro.core.cooling import AdaptiveCooling, ConstantCooling, CoolingSchedule
 from repro.core.equivalence import and_ratio, subgraph_and_mse_study
 from repro.core.objective import and_difference_objective
 from repro.core.pipeline import RedQAOA, RedQAOAResult
-from repro.core.reduction import GraphReducer, ProblemReductionResult, ReductionResult
+from repro.core.reduction import GraphReducer, ReductionResult
 
 __all__ = [
     "AdaptiveCooling",
@@ -29,7 +29,6 @@ __all__ = [
     "ConstantCooling",
     "CoolingSchedule",
     "GraphReducer",
-    "ProblemReductionResult",
     "RedQAOA",
     "RedQAOAResult",
     "ReductionResult",

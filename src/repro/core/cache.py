@@ -3,12 +3,14 @@
 The paper observes that the ideal landscapes of its 10-node and 11-node
 test graphs nearly coincide -- so the distilled graph found for one could
 have served the other, but Red-QAOA's per-instance subgraph search rejected
-it.  :class:`ReductionCache` implements exactly that reuse: distilled
+it.  :class:`ReductionCache` is the bank behind that reuse: distilled
 graphs are banked by their Average Node Degree, and a new instance first
-checks the bank for a distilled graph whose AND clears the acceptance
-ratio.  On a stream of similar instances (the common case in applications:
-many MaxCut problems from one domain) this skips the annealing search
-entirely for most graphs.
+looks up a distilled graph whose AND clears the acceptance ratio.  On a
+stream of similar instances (the common case in applications: many MaxCut
+problems from one domain) this skips the annealing search entirely for
+most graphs.  The bank never reduces: the caller (the batch scheduler's
+cross-instance mode) reduces a miss through its own seeded pipeline and
+banks the result.
 
 A cache *hit* returns a graph that is NOT a subgraph of the new instance --
 that is fine for the parameter-optimization phase (only the landscape must
@@ -31,7 +33,12 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.core.reduction import GraphReducer, ReductionResult, and_ratio
+from repro.core.reduction import (
+    DEFAULT_AND_RATIO_THRESHOLD,
+    ReductionResult,
+    and_ratio,
+    check_and_ratio_threshold,
+)
 from repro.obs.metrics import REGISTRY
 from repro.utils.graphs import average_node_strength, ensure_graph, is_weighted
 
@@ -63,27 +70,31 @@ class CachedReduction:
 
 
 class ReductionCache:
-    """AND-indexed bank of distilled graphs with a reducer fallback.
+    """AND-indexed bank of distilled graphs.
 
     Parameters
     ----------
-    reducer:
-        Used on cache misses; its ``and_ratio_threshold`` also defines what
-        counts as a hit (the banked graph's AND over the query graph's AND,
-        symmetrized, must clear the threshold).
+    threshold:
+        What counts as a hit: the banked graph's AND over the query graph's
+        AND, symmetrized, must clear it (0.7 by default, the reducer's
+        acceptance ratio).  Fixed for the bank's life -- it is also the
+        index's bucket width.
     max_entries:
         Bank capacity; the least-recently-*used* entry is evicted first
         (a lookup hit counts as use).
+
+    ``hits`` and ``misses`` count :meth:`lookup` outcomes.
     """
 
     def __init__(
         self,
-        reducer: GraphReducer | None = None,
+        threshold: float = DEFAULT_AND_RATIO_THRESHOLD,
         max_entries: int = 64,
     ) -> None:
+        check_and_ratio_threshold(threshold)
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.reducer = reducer if reducer is not None else GraphReducer()
+        self.threshold = threshold
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -96,26 +107,7 @@ class ReductionCache:
         self._next_id = 0
         # Acceptance band in log-AND space; 0 means only exact-AND matches
         # qualify (threshold 1.0), handled by bucketing on the AND itself.
-        self._indexed_threshold = self.reducer.and_ratio_threshold
-        self._band = -math.log(self._indexed_threshold)
-
-    def _ensure_index(self) -> None:
-        """Re-bucket the bank if the reducer's threshold changed.
-
-        ``reducer`` is a public attribute; swapping or retuning it must not
-        desynchronize the index (bucket width == acceptance band) from the
-        live acceptance test, so the index is rebuilt lazily on mismatch.
-        """
-        threshold = self.reducer.and_ratio_threshold
-        if threshold == self._indexed_threshold:
-            return
-        self._indexed_threshold = threshold
         self._band = -math.log(threshold)
-        self._buckets = {}
-        for entry_id, entry in self._by_id.items():
-            self._buckets.setdefault(
-                (entry.weighted, self._bucket(entry.and_value)), []
-            ).append(entry_id)
 
     def _bucket(self, and_value: float) -> float:
         if self._band > 0.0:
@@ -138,53 +130,39 @@ class ReductionCache:
     def lookup(self, graph: nx.Graph) -> CachedReduction | None:
         """Best banked distilled graph acceptable for ``graph``, or None.
 
-        Acceptable means the strength-based AND ratio clears the reducer's
+        Acceptable means the strength-based AND ratio clears the
         threshold, the banked graph is strictly smaller than ``graph``, and
         both sides agree on weightedness (a weighted instance's landscape
         depends on its couplings, which a unit-weight banked graph cannot
         represent).  Among acceptable entries the one with the closest AND
         wins (oldest first on exact ties); the winner is touched, i.e.
-        moved to the most-recently-used end of the eviction order.
+        moved to the most-recently-used end of the eviction order.  Every
+        call counts as one hit or one miss.
         """
         ensure_graph(graph)
-        self._ensure_index()
         target = average_node_strength(graph)
-        if target == 0.0:
-            return None
-        query_weighted = is_weighted(graph)
+        # An edgeless query (AND 0) matches nothing and has no log-AND bucket.
+        candidates = self._candidate_ids(is_weighted(graph), target) if target > 0.0 else []
         best: CachedReduction | None = None
         best_id = -1
         best_gap = math.inf
-        for entry_id in self._candidate_ids(query_weighted, target):
+        for entry_id in candidates:
             entry = self._by_id[entry_id]
             if entry.graph.number_of_nodes() >= graph.number_of_nodes():
                 continue
-            if and_ratio(target, entry.and_value) < self.reducer.and_ratio_threshold:
+            if and_ratio(target, entry.and_value) < self.threshold:
                 continue
             gap = abs(entry.and_value - target)
             if gap < best_gap:
                 best, best_id, best_gap = entry, entry_id, gap
         if best is not None:
             self._by_id[best_id] = self._by_id.pop(best_id)  # LRU touch
+            self.hits += 1
             _BANK_HITS.inc()
         else:
+            self.misses += 1
             _BANK_MISSES.inc()
         return best
-
-    def reduce(self, graph: nx.Graph) -> tuple[nx.Graph, bool]:
-        """Distilled graph for ``graph`` plus whether it came from the bank.
-
-        Misses run the full :class:`GraphReducer` and bank the result.
-        """
-        ensure_graph(graph)
-        cached = self.lookup(graph)
-        if cached is not None:
-            self.hits += 1
-            return nx.Graph(cached.graph), True
-        self.misses += 1
-        result = self.reducer.reduce(graph)
-        self.bank(result)
-        return result.reduced_graph, False
 
     @property
     def size(self) -> int:
@@ -201,14 +179,7 @@ class ReductionCache:
         return list(self._by_id.values())
 
     def bank(self, result: ReductionResult) -> None:
-        """Insert a finished reduction into the bank (most recently used).
-
-        Public so batch schedulers can populate the bank with reductions
-        they computed through their own seeded reducers (the cache's
-        fallback reducer has a single RNG stream, which per-job seeding
-        must bypass).
-        """
-        self._ensure_index()
+        """Insert a finished reduction into the bank (most recently used)."""
         and_value = average_node_strength(result.reduced_graph)
         if and_value <= 0.0:
             return  # an edgeless distilled graph can never serve a query

@@ -7,7 +7,7 @@ on any :class:`~repro.problems.DiagonalProblem` via ``run(problem=...)``:
    (:mod:`repro.qaoa.expectation`'s one policy); an instance no engine
    can evaluate fails here, before any budget is spent;
 1. **reduce** -- distill the graph (or the problem's coupling graph,
-   field-aware) with the SA reducer;
+   field-aware) with the SA reducer, through :meth:`RedQAOA.reduce`;
 2. **optimize** -- run COBYLA restarts on the *distilled* instance, under
    whatever noise the caller specifies (a small circuit, so cheap and
    noise-tolerant);
@@ -33,7 +33,7 @@ import networkx as nx
 import numpy as np
 
 import repro.problems.expectation as problem_expectation
-from repro.core.reduction import GraphReducer, ProblemReductionResult, ReductionResult
+from repro.core.reduction import GraphReducer, ReductionResult
 from repro.obs.trace import span
 from repro.qaoa.expectation import EXACT_LIMIT, maxcut_evaluator, noisy_maxcut_expectation
 from repro.qaoa.fast_sim import (
@@ -81,12 +81,12 @@ class RedQAOAResult:
     ``expectation`` is the ideal expectation of the final parameters on the
     original graph; ``cut_value``/``assignment`` come from sampling the
     final state (solution-finding step).  For problem runs
-    (:meth:`RedQAOA.run` with ``problem=``), ``reduction`` is a
-    :class:`~repro.core.reduction.ProblemReductionResult` and
-    ``cut_value`` is the best sampled *objective* value of the problem.
+    (:meth:`RedQAOA.run` with ``problem=``), ``reduction`` carries the
+    ``subproblem`` and ``cut_value`` is the best sampled *objective* value
+    of the problem.
     """
 
-    reduction: ReductionResult | ProblemReductionResult
+    reduction: ReductionResult
     gammas: np.ndarray
     betas: np.ndarray
     expectation: float
@@ -172,14 +172,19 @@ class RedQAOA:
 
     # -- steps ---------------------------------------------------------------
 
-    def reduce(self, graph: nx.Graph) -> ReductionResult:
-        """Step 1: distill the graph."""
-        ensure_graph(graph)
-        return self.reducer.reduce(graph)
+    def reduce(self, instance) -> ReductionResult:
+        """Step 1: distill a graph, or a problem's field-aware coupling graph.
 
-    def optimize_reduced(
-        self, reduction: ReductionResult | ProblemReductionResult
-    ) -> list[OptimizationTrace]:
+        The one reduce step above :class:`~repro.core.reduction.GraphReducer`:
+        :meth:`run` and the batch scheduler both reduce through it.  It
+        draws only from the reducer's RNG stream.
+        """
+        with span("reduce"):
+            if isinstance(instance, nx.Graph):
+                return self.reducer.reduce(instance)
+            return self.reducer.reduce_problem(instance)
+
+    def optimize_reduced(self, reduction: ReductionResult) -> list[OptimizationTrace]:
         """Step 2: COBYLA restarts on the distilled graph or subproblem.
 
         One restart warm-starts from the degree-indexed lookup when
@@ -189,7 +194,7 @@ class RedQAOA:
         processes, bit-identically; noisy objectives draw from
         ``self._rng`` on every evaluation, so they stay sequential.
         """
-        if isinstance(reduction, ProblemReductionResult):
+        if reduction.subproblem is not None:
             reduced = reduction.subproblem
             warm_start_graph = reduced.coupling_graph() if reduced.num_couplings else None
         else:
@@ -229,7 +234,7 @@ class RedQAOA:
         graph: nx.Graph | None = None,
         *,
         problem=None,
-        reduction: ReductionResult | ProblemReductionResult | None = None,
+        reduction: ReductionResult | None = None,
     ) -> RedQAOAResult:
         """The full pipeline of Fig. 4 on ``graph`` or on any diagonal ``problem``.
 
@@ -273,11 +278,7 @@ class RedQAOA:
         evaluate, objective = self._full_size_engines(instance, target)
 
         if reduction is None:
-            with span("reduce"):
-                if problem is None:
-                    reduction = self.reduce(graph)
-                else:
-                    reduction = self.reducer.reduce_problem(problem)
+            reduction = self.reduce(graph if problem is None else problem)
         traces = self.optimize_reduced(reduction)
         best_trace = max(traces, key=lambda t: t.best_value)
         gammas, betas = best_trace.best_parameters

@@ -22,7 +22,6 @@ from repro.utils.rng import as_generator
 
 __all__ = [
     "GraphReducer",
-    "ProblemReductionResult",
     "ReductionResult",
     "and_ratio",
     "check_and_ratio_threshold",
@@ -48,11 +47,14 @@ def check_and_ratio_threshold(value) -> None:
 
 @dataclass
 class ReductionResult:
-    """Output of :meth:`GraphReducer.reduce`.
+    """Output of :meth:`GraphReducer.reduce` and :meth:`GraphReducer.reduce_problem`.
 
     ``nodes`` are original-graph labels; ``reduced_graph`` is the induced
-    subgraph relabeled to ``0..k-1`` (ready for the quantum layer), and
-    ``node_mapping`` maps original labels to the new ones.
+    subgraph relabeled to ``0..k-1`` in sorted-label order (ready for the
+    quantum layer), and ``node_mapping`` maps original labels to the new
+    ones.  A problem reduction reduces the problem's field-aware coupling
+    graph (``original_graph``) and also carries ``subproblem``, the
+    problem restricted to ``nodes`` under the same relabeling.
     """
 
     original_graph: nx.Graph
@@ -61,6 +63,7 @@ class ReductionResult:
     node_mapping: dict
     and_ratio: float
     anneal_result: AnnealResult
+    subproblem: object | None = None  # a repro.problems.DiagonalProblem
 
     @property
     def node_reduction(self) -> float:
@@ -74,41 +77,6 @@ class ReductionResult:
         if m == 0:
             return 0.0
         return 1.0 - self.reduced_graph.number_of_edges() / m
-
-
-@dataclass
-class ProblemReductionResult:
-    """Output of :meth:`GraphReducer.reduce_problem`.
-
-    ``nodes`` are original problem qubit indices (sorted); ``subproblem``
-    is the problem restricted to them and relabeled to ``0..k-1``
-    (``node_mapping`` maps original to new indices); ``graph_reduction``
-    is the underlying coupling-graph reduction with its annealing record.
-    """
-
-    problem: object  # a repro.problems.DiagonalProblem (duck-typed)
-    subproblem: object
-    nodes: list
-    node_mapping: dict
-    graph_reduction: ReductionResult
-
-    @property
-    def and_ratio(self) -> float:
-        return self.graph_reduction.and_ratio
-
-    @property
-    def node_reduction(self) -> float:
-        return self.graph_reduction.node_reduction
-
-    @property
-    def edge_reduction(self) -> float:
-        return self.graph_reduction.edge_reduction
-
-    # Aliases so result consumers written for graph reductions (examples,
-    # CLI reporting) can render either flavor.
-    @property
-    def reduced_graph(self) -> nx.Graph:
-        return self.graph_reduction.reduced_graph
 
 
 class GraphReducer:
@@ -211,9 +179,7 @@ class GraphReducer:
             feasible = whole
         return self._build_result(graph, feasible)
 
-    def reduce_problem(
-        self, problem, target_size: int | None = None
-    ) -> ProblemReductionResult:
+    def reduce_problem(self, problem, target_size: int | None = None) -> ReductionResult:
         """Distill a :class:`~repro.problems.DiagonalProblem`.
 
         The annealer runs on the problem's coupling graph with fields
@@ -222,7 +188,8 @@ class GraphReducer:
         strongly connected and is preferentially retained.  The annealer
         handles self-loops (the strength sum counts each loop's
         ``|weight|`` once; connectivity ignores loops).  The kept nodes
-        become :meth:`DiagonalProblem.subproblem`.
+        become :meth:`DiagonalProblem.subproblem`, relabeled like
+        ``reduced_graph``.
 
         For a MaxCut-encoded problem the coupling graph is the original
         weighted graph (no fields), so this reduces exactly as
@@ -230,14 +197,8 @@ class GraphReducer:
         """
         graph = problem.coupling_graph(include_fields=True)
         reduction = self.reduce(graph, target_size=target_size)
-        nodes = sorted(reduction.nodes)
-        return ProblemReductionResult(
-            problem=problem,
-            subproblem=problem.subproblem(nodes),
-            nodes=nodes,
-            node_mapping={node: index for index, node in enumerate(nodes)},
-            graph_reduction=reduction,
-        )
+        reduction.subproblem = problem.subproblem(sorted(reduction.nodes))
+        return reduction
 
     # -- internals ----------------------------------------------------------
 

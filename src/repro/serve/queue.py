@@ -143,9 +143,6 @@ class ShardClaim:
     def job_of(self, fingerprint: str) -> QueuedJob:
         return next(job for job in self.jobs if job.fingerprint == fingerprint)
 
-    def spec_of(self, fingerprint: str) -> JobSpec:
-        return self.job_of(fingerprint).spec
-
     def unresolved(self) -> list[QueuedJob]:
         return [job for job in self.jobs if job.fingerprint not in self.done]
 

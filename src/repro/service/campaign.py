@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, check_seed
 from repro.service.scheduler import BatchReport, BatchScheduler
 from repro.service.store import ResultStore
 
@@ -129,7 +129,8 @@ def _entry_spec(entry: dict) -> JobSpec:
     entry = dict(entry)
     kind = entry.pop("kind", "maxcut")
     nodes = int(entry.pop("nodes", 12))
-    seed = int(entry.get("seed", 0))
+    seed = entry.get("seed", 0)
+    check_seed(seed)  # before it seeds the generator
     generator = {key: entry.pop(key) for key in _GENERATOR_KEYS if key in entry}
     unknown = set(entry) - set(_CONFIG_KEYS)
     if unknown:
@@ -226,23 +227,6 @@ class Campaign:
     ) -> "Campaign":
         return cls(
             manifest_specs(manifest),
-            store_path=store_path,
-            reduction_reuse=reduction_reuse,
-            workers=workers,
-            pool=pool,
-        )
-
-    @classmethod
-    def from_file(
-        cls,
-        path: str | Path,
-        store_path: str | Path | None = None,
-        reduction_reuse: str = "exact",
-        workers: int = 1,
-        pool: str | None = None,
-    ) -> "Campaign":
-        return cls.from_manifest(
-            load_manifest(path),
             store_path=store_path,
             reduction_reuse=reduction_reuse,
             workers=workers,

@@ -63,6 +63,7 @@ __all__ = [
     "canonical_graph",
     "canonical_graph_form",
     "canonical_problem_form",
+    "check_seed",
     "run_job",
     "run_pipeline",
 ]
@@ -209,6 +210,17 @@ class CanonicalInstance:
     payload: dict
 
 
+def check_seed(seed) -> None:
+    """Raise a one-line ``ValueError`` unless ``seed`` is an int (a bool is not).
+
+    The seed enters the fingerprint as given, so ``"3"``, ``3.0`` or
+    ``np.int64(3)`` would build seed 3's instance under another
+    fingerprint (or fail to hash at all).
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+
+
 def _digest(payload: dict) -> str:
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
@@ -236,7 +248,7 @@ class JobSpec:
     fingerprint.  Config fields mirror :class:`~repro.core.pipeline.RedQAOA`
     (``and_ratio_threshold`` configures the reducer) and are checked on
     construction with the pipeline's own checks, so a bad config fails
-    before it is queued; ``shots`` must be an int here (no ``None``).
+    before it is queued; ``shots`` and ``seed`` must be ints here.
 
     Frozen: fingerprints and the canonical form are cached on first
     access, so a mutable spec could silently dedup under a stale
@@ -272,6 +284,7 @@ class JobSpec:
             self.warm_start,
         )
         check_and_ratio_threshold(self.and_ratio_threshold)
+        check_seed(self.seed)
 
     # -- identity ------------------------------------------------------------
 
@@ -356,25 +369,15 @@ class JobSpec:
 
     # -- execution helpers ---------------------------------------------------
 
-    def make_reducer(self) -> GraphReducer:
-        """A fresh reducer seeded from the instance fingerprint."""
-        return GraphReducer(
-            and_ratio_threshold=self.and_ratio_threshold, seed=self.reduction_seed
-        )
-
-    def compute_reduction(self):
-        """The reduction a pipeline for this spec would compute internally."""
-        instance = self.canonical().instance
-        reducer = self.make_reducer()
-        if self.graph is not None:
-            return reducer.reduce(instance)
-        return reducer.reduce_problem(instance)
-
     def pipeline(self, plan_cache=None) -> RedQAOA:
-        """A configured pipeline with fingerprint-derived seeds."""
+        """A configured pipeline with fingerprint-derived seeds: its reducer
+        draws from the instance's reduction stream, the rest from the job's
+        optimization stream."""
         return RedQAOA(
             p=self.p,
-            reducer=self.make_reducer(),
+            reducer=GraphReducer(
+                and_ratio_threshold=self.and_ratio_threshold, seed=self.reduction_seed
+            ),
             restarts=self.restarts,
             maxiter=self.maxiter,
             finetune_maxiter=self.finetune_maxiter,
@@ -383,23 +386,6 @@ class JobSpec:
             seed=self.optimize_seed,
             plan_cache=plan_cache,
         )
-
-    def describe(self) -> dict:
-        """Reporting summary (no workload data)."""
-        info = {
-            "label": self.label,
-            "kind": self.kind,
-            "n": self.num_qubits,
-            "p": self.p,
-            "restarts": self.restarts,
-            "maxiter": self.maxiter,
-            "finetune_maxiter": self.finetune_maxiter,
-            "shots": self.shots,
-            "seed": self.seed,
-        }
-        if self.problem is not None:
-            info["problem"] = self.problem.name
-        return info
 
 
 def _edges_under_identity(graph: nx.Graph) -> tuple:
@@ -443,10 +429,6 @@ class JobResult:
         else:
             bits = []
         reduction = result.reduction
-        if spec.graph is not None:
-            reduced_qubits = reduction.reduced_graph.number_of_nodes()
-        else:
-            reduced_qubits = reduction.subproblem.num_qubits
         return cls(
             fingerprint=spec.fingerprint,
             instance_fingerprint=spec.instance_fingerprint,
@@ -455,7 +437,7 @@ class JobResult:
             expectation=float(result.expectation),
             best_value=float(result.cut_value),
             bits=bits,
-            reduced_qubits=reduced_qubits,
+            reduced_qubits=len(reduction.nodes),
             and_ratio=float(reduction.and_ratio),
             reduced_evaluations=result.num_reduced_evaluations,
             original_evaluations=result.num_original_evaluations,

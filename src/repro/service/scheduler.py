@@ -13,9 +13,11 @@ amount of actual work:
    fingerprint and each instance is distilled once (jobs that scan
    optimizer configs over one instance share its SA reduction), in sorted
    instance-fingerprint order so any bank state is independent of manifest
-   order.  As in :meth:`~repro.core.pipeline.RedQAOA.run`, the engine is
-   dispatched first: an instance no exact engine can price is not
-   reduced, and its jobs fail at dispatch;
+   order.  Each instance runs its first job's own pipeline: as in
+   :meth:`~repro.core.pipeline.RedQAOA.run`, the engine is dispatched
+   first -- an instance no exact engine can price is not reduced, and its
+   jobs fail at dispatch -- and then :meth:`~repro.core.pipeline.RedQAOA.reduce`
+   distills it, the same reduction the job's run would make;
 4. **shared plans** -- one :class:`~repro.qaoa.lightcone.PlanCache` serves
    every pipeline, so structurally identical graphs compile one lightcone
    plan across the whole batch;
@@ -36,7 +38,8 @@ serves *similar* (not identical) instances from an AND-bucketed
 cross-instance transfer.  That trades bit-identity (the surrogate landscape
 is close, not equal) for skipping the annealing search; it stays
 deterministic for a fixed manifest *set* because reductions are processed
-in sorted instance-fingerprint order.
+in sorted instance-fingerprint order.  The bank only banks: a miss reduces
+through the job's pipeline as in exact mode, then banks the result.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import networkx as nx
 from repro.core.annealer import AnnealResult
 from repro.core.cache import ReductionCache
 from repro.core.reduction import ReductionResult, and_ratio
-from repro.obs.trace import get_tracer, span, trace_job
+from repro.obs.trace import get_tracer, trace_job
 from repro.qaoa.expectation import EngineLimitError
 from repro.qaoa.lightcone import PlanCache
 from repro.serve.queue import ShardedJobQueue
@@ -158,8 +161,10 @@ class BatchScheduler:
         (AND-bucket matching, graph jobs only) for *similar* instances --
         approximate but deterministic for a fixed manifest set.
     reduction_cache:
-        The bank for cross-instance mode; created on demand.  Its
-        reducer's ``and_ratio_threshold`` defines bank-hit acceptance.
+        The bank for cross-instance mode; created on demand with the
+        default 0.7 ``threshold``, which defines bank-hit acceptance.  One
+        lookup per graph instance reduced in phase 1: its ``hits`` grow
+        by the report's ``reduction_cross_hits``.
     workers / pool:
         Execution runs through the :mod:`repro.serve` worker pool -- the
         same path the daemon uses.  The default (one inline worker) keeps
@@ -237,26 +242,26 @@ class BatchScheduler:
         cross_hits = 0
         for instance_fp in sorted(by_instance):
             spec = unique[by_instance[instance_fp][0]]
-            reduction = None
-            if (
-                self.reduction_reuse == "cross-instance"
-                and spec.graph is not None
-            ):
-                banked = self.reduction_cache.lookup(spec.canonical().instance)
-                if banked is not None:
-                    reduction = _reduction_from_bank(spec, banked)
-                    cross_hits += 1
-            if reduction is None:
+            instance = spec.canonical().instance
+            cross = self.reduction_reuse == "cross-instance" and spec.graph is not None
+            banked = self.reduction_cache.lookup(instance) if cross else None
+            if banked is not None:
+                reduction = _reduction_from_bank(instance, banked)
+                cross_hits += 1
+            else:
                 # Phase-1 reductions get their own mini span trees (root
                 # named "job" like every tree, so one validator covers
                 # both): they run before any queue exists, so there is no
-                # enqueue/claim timeline to stitch them into.
+                # enqueue/claim timeline to stitch them into.  A plan the
+                # dispatch compiles lands in the shared plan cache.
+                pipeline = spec.pipeline(plan_cache=self.plan_cache)
                 with trace_job(f"phase1:{instance_fp[:12]}", stage="reduction"):
-                    if not _dispatches(spec, self.plan_cache):
+                    try:
+                        pipeline.evaluator(instance)
+                    except EngineLimitError:
                         continue
-                    with span("reduce", instance=instance_fp[:12]):
-                        reduction = spec.compute_reduction()
-                if self.reduction_reuse == "cross-instance" and spec.graph is not None:
+                    reduction = pipeline.reduce(instance)
+                if cross:
                     self.reduction_cache.bank(reduction)
             reductions[instance_fp] = reduction
             reduction_reuses += len(by_instance[instance_fp]) - 1
@@ -331,18 +336,8 @@ class BatchScheduler:
         )
 
 
-def _dispatches(spec: JobSpec, plan_cache: PlanCache) -> bool:
-    """Whether the pipeline's own dispatch finds an exact engine for ``spec``
-    (a plan it compiles lands in ``plan_cache`` for the inline pool's run)."""
-    try:
-        spec.pipeline(plan_cache=plan_cache).evaluator(spec.canonical().instance)
-    except EngineLimitError:
-        return False
-    return True
-
-
-def _reduction_from_bank(spec: JobSpec, banked) -> ReductionResult:
-    """Wrap a banked distilled graph as a reduction for ``spec``'s instance.
+def _reduction_from_bank(graph: nx.Graph, banked) -> ReductionResult:
+    """Wrap a banked distilled graph as a reduction of the canonical ``graph``.
 
     The banked graph is not a subgraph of the instance (the paper's
     cross-instance transfer: only the landscape needs to match); the
@@ -350,10 +345,8 @@ def _reduction_from_bank(spec: JobSpec, banked) -> ReductionResult:
     into the optimization step while solution finding still runs on the
     instance itself.
     """
-    graph = spec.canonical().instance
     distilled = nx.Graph(banked.graph)
-    reduced = average_node_strength(distilled) if distilled.number_of_nodes() else 0.0
-    ratio = and_ratio(average_node_strength(graph), reduced)
+    ratio = and_ratio(average_node_strength(graph), banked.and_value)
     return ReductionResult(
         original_graph=graph,
         nodes=set(distilled.nodes()),

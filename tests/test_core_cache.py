@@ -1,4 +1,9 @@
-"""Tests for repro.core.cache (cross-instance reduction reuse)."""
+"""Tests for repro.core.cache (cross-instance reduction reuse).
+
+The bank never reduces; :func:`_bank_round` plays the batch scheduler's
+cross-instance round (look up, else reduce and bank) with one seeded
+reducer per test.
+"""
 
 import networkx as nx
 import numpy as np
@@ -18,88 +23,113 @@ def _connected_er(n, p, seed):
         offset += 100
 
 
+def _bank_round(cache, reducer, graph):
+    """Distilled graph for ``graph`` plus whether it came from the bank."""
+    found = cache.lookup(graph)
+    if found is not None:
+        return found.graph, True
+    result = reducer.reduce(graph)
+    cache.bank(result)
+    return result.reduced_graph, False
+
+
 class TestBasics:
     def test_first_call_misses_and_banks(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         graph = _connected_er(10, 0.45, 0)
-        reduced, hit = cache.reduce(graph)
+        reduced, hit = _bank_round(cache, reducer, graph)
         assert not hit
-        assert cache.misses == 1
+        assert (cache.hits, cache.misses) == (0, 1)
         assert cache.size == 1
         assert reduced.number_of_nodes() < 10
 
     def test_similar_instance_hits(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         base = _connected_er(10, 0.45, 0)
-        cache.reduce(base)
+        _bank_round(cache, reducer, base)
         # The paper's 10-vs-11-node scenario: one extra node with a typical
         # number of edges barely moves the AND, so the banked graph applies.
         similar = nx.Graph(base)
         similar.add_edges_from([(10, 0), (10, 1), (10, 2)])
-        reduced, hit = cache.reduce(similar)
+        reduced, hit = _bank_round(cache, reducer, similar)
         assert hit
         assert cache.hits == 1
         assert reduced.number_of_nodes() < similar.number_of_nodes()
 
     def test_dissimilar_instance_misses(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         sparse = nx.cycle_graph(10)  # AND = 2
-        cache.reduce(sparse)
+        _bank_round(cache, reducer, sparse)
         dense = nx.complete_graph(10)  # AND = 9
-        _, hit = cache.reduce(dense)
+        _, hit = _bank_round(cache, reducer, dense)
         assert not hit
 
     def test_lookup_never_returns_equal_or_larger_graph(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        cache = ReductionCache()
         graph = _connected_er(10, 0.45, 2)
-        cache.reduce(graph)
+        _bank_round(cache, GraphReducer(seed=0), graph)
         small = _connected_er(5, 0.6, 3)
         entry = cache.lookup(small)
         if entry is not None:
             assert entry.graph.number_of_nodes() < 5
 
     def test_eviction(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0), max_entries=2)
+        cache, reducer = ReductionCache(max_entries=2), GraphReducer(seed=0)
         for seed in range(4):
             # Alternate densities to force misses.
             p = 0.3 if seed % 2 == 0 else 0.8
-            cache.reduce(_connected_er(9 + seed, p, seed))
+            _bank_round(cache, reducer, _connected_er(9 + seed, p, seed))
         assert cache.size <= 2
 
     def test_hit_rate_accounting(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        """Every lookup counts once, banked or not, edgeless or not."""
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         assert cache.hit_rate == 0.0
-        cache.reduce(_connected_er(10, 0.45, 4))
-        cache.reduce(_connected_er(10, 0.45, 5))
-        assert cache.hits + cache.misses == 2
-        assert 0.0 <= cache.hit_rate <= 1.0
+        _bank_round(cache, reducer, _connected_er(10, 0.45, 4))
+        _bank_round(cache, reducer, _connected_er(10, 0.45, 5))
+        assert cache.lookup(nx.empty_graph(4)) is None
+        assert cache.hits + cache.misses == 3
+        assert cache.hit_rate == cache.hits / 3
 
     def test_max_entries_validated(self):
         with pytest.raises(ValueError):
             ReductionCache(max_entries=0)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, True, "0.7"])
+    def test_threshold_validated(self, threshold):
+        with pytest.raises(ValueError, match="and_ratio_threshold"):
+            ReductionCache(threshold=threshold)
+
     def test_returned_graph_is_a_copy(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
-        graph = _connected_er(10, 0.45, 6)
-        cache.reduce(graph)
-        reused, hit = cache.reduce(_connected_er(11, 0.45, 7))
-        reused.add_edge(0, reused.number_of_nodes())
-        # Mutating the returned graph must not corrupt the bank.
-        again, _ = cache.reduce(_connected_er(11, 0.45, 8))
-        assert again.number_of_nodes() <= 11
+        """Neither the banked reduction nor the scheduler's wrap of a hit
+        aliases the bank, so mutating either cannot corrupt it."""
+        from repro.service.scheduler import _reduction_from_bank
+
+        cache = ReductionCache()
+        base = _connected_er(10, 0.45, 0)
+        result = GraphReducer(seed=0).reduce(base)
+        cache.bank(result)
+        edges = cache._entries[0].graph.number_of_edges()
+        result.reduced_graph.add_edge(0, 99)
+        query = nx.Graph(base)
+        query.add_edges_from([(10, 0), (10, 1), (10, 2)])
+        found = cache.lookup(query)
+        assert found is not None
+        _reduction_from_bank(query, found).reduced_graph.add_edge(0, 98)
+        assert cache._entries[0].graph.number_of_edges() == edges
 
 
 class TestLandscapeQualityOfHits:
     def test_cache_hit_landscape_close_to_query(self):
         """The Sec. 6.1 claim: a banked reduced graph with matching AND has
         a landscape close to the *new* instance's."""
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         base = _connected_er(10, 0.45, 10)
-        cache.reduce(base)
+        _bank_round(cache, reducer, base)
         mses = []
         for seed in (11, 12, 13):
             query = _connected_er(11, 0.45, seed)
-            reduced, hit = cache.reduce(query)
+            reduced, hit = _bank_round(cache, reducer, query)
             if not hit:
                 continue
             reference = compute_landscape(query, width=12).values
@@ -109,9 +139,9 @@ class TestLandscapeQualityOfHits:
             assert np.mean(mses) < 0.08
 
     def test_stream_of_similar_instances_mostly_hits(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         for seed in range(8):
-            cache.reduce(_connected_er(10 + seed % 3, 0.45, 20 + seed))
+            _bank_round(cache, reducer, _connected_er(10 + seed % 3, 0.45, 20 + seed))
         assert cache.hit_rate >= 0.5
 
 
@@ -138,17 +168,17 @@ class TestIndexAndLRU:
     def test_lookup_matches_linear_scan(self):
         """The bucket index must select exactly what the old O(entries)
         scan selected: the closest-AND acceptable entry."""
-        cache = ReductionCache(reducer=GraphReducer(seed=0), max_entries=32)
+        cache, reducer = ReductionCache(max_entries=32), GraphReducer(seed=0)
         for seed in range(10):
             p = (0.25, 0.5, 0.75)[seed % 3]
-            cache.reduce(_connected_er(8 + seed % 4, p, 40 + seed))
+            _bank_round(cache, reducer, _connected_er(8 + seed % 4, p, 40 + seed))
         from repro.utils.graphs import average_node_strength, is_weighted
 
         for seed in range(6):
             query = _connected_er(12, (0.3, 0.55, 0.8)[seed % 3], 60 + seed)
             target = average_node_strength(query)
             weighted = is_weighted(query)
-            threshold = cache.reducer.and_ratio_threshold
+            threshold = cache.threshold
             best, best_gap = None, np.inf
             for entry in cache._entries:
                 if entry.graph.number_of_nodes() >= query.number_of_nodes():
@@ -170,7 +200,7 @@ class TestIndexAndLRU:
                 assert abs(found.and_value - target) == best_gap
 
     def test_hit_touches_entry_so_lru_eviction_spares_it(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0), max_entries=2)
+        cache = ReductionCache(max_entries=2)
         hot = nx.cycle_graph(5)  # AND = 2
         cold = nx.complete_graph(5)  # AND = 4
         cache.bank(_synthetic_reduction(hot, 10))
@@ -183,13 +213,13 @@ class TestIndexAndLRU:
         assert all(entry.and_value < 4.0 for entry in cache._entries)
 
     def test_fifo_eviction_without_touches(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0), max_entries=2)
+        cache = ReductionCache(max_entries=2)
         for size in (4, 5, 6):
             cache.bank(_synthetic_reduction(nx.cycle_graph(size), 12))
         assert [entry.graph.number_of_nodes() for entry in cache._entries] == [5, 6]
 
     def test_bucket_index_stays_consistent_under_eviction(self):
-        cache = ReductionCache(reducer=GraphReducer(seed=0), max_entries=3)
+        cache = ReductionCache(max_entries=3)
         for seed in range(8):
             cache.bank(
                 _synthetic_reduction(_connected_er(5 + seed % 3, 0.6, 80 + seed), 12)
@@ -200,22 +230,8 @@ class TestIndexAndLRU:
         )
         assert indexed == sorted(cache._by_id)
 
-    def test_retuned_reducer_threshold_rebuilds_the_index(self):
-        """Swapping the public reducer must not desynchronize bucket width
-        from the live acceptance band (entries banked under the old width
-        would otherwise be silently unreachable)."""
-        cache = ReductionCache(reducer=GraphReducer(seed=0), max_entries=8)
-        cache.bank(_synthetic_reduction(nx.cycle_graph(6), 12))  # AND = 2
-        dense = _connected_er(9, 0.9, 90)  # AND well above 2 / 0.7
-        assert cache.lookup(dense) is None
-        cache.reducer = GraphReducer(and_ratio_threshold=0.25, seed=0)
-        found = cache.lookup(dense)
-        assert found is not None and found.and_value == 2.0
-
     def test_threshold_one_only_exact_and_matches(self):
-        cache = ReductionCache(
-            reducer=GraphReducer(and_ratio_threshold=1.0, seed=0), max_entries=8
-        )
+        cache = ReductionCache(threshold=1.0, max_entries=8)
         cache.bank(_synthetic_reduction(nx.cycle_graph(5), 12))  # AND exactly 2
         assert cache.lookup(nx.cycle_graph(9)) is not None  # AND exactly 2
         assert cache.lookup(nx.complete_graph(9)) is None
@@ -226,21 +242,24 @@ class TestWeightedIsolation:
         """A spin-glass instance must not reuse a weight-blind reduction."""
         from repro.datasets import attach_weights
 
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         base = _connected_er(10, 0.45, 0)
-        cache.reduce(base)
+        _bank_round(cache, reducer, base)
         weighted = attach_weights(
             _connected_er(11, 0.45, 1), "spin", seed=1
         )
         assert cache.lookup(weighted) is None
-        _, hit = cache.reduce(weighted)
+        _, hit = _bank_round(cache, reducer, weighted)
         assert not hit
 
     def test_weighted_bank_serves_weighted_queries(self):
         from repro.datasets import attach_weights
 
-        cache = ReductionCache(reducer=GraphReducer(seed=0))
-        cache.reduce(attach_weights(_connected_er(10, 0.45, 2), "uniform", seed=2))
+        cache = ReductionCache()
+        _bank_round(
+            cache, GraphReducer(seed=0),
+            attach_weights(_connected_er(10, 0.45, 2), "uniform", seed=2),
+        )
         entry = cache._entries[0]
         assert entry.weighted
         similar = attach_weights(_connected_er(11, 0.45, 3), "uniform", seed=3)

@@ -8,7 +8,7 @@ from repro.cli import main
 from _kernel_oracles import reference_simulated_annealing
 from repro.core.annealer import simulated_annealing
 from repro.core.pipeline import RedQAOA
-from repro.core.reduction import GraphReducer, ProblemReductionResult
+from repro.core.reduction import GraphReducer
 from repro.datasets import PROBLEM_KINDS, problem_instance, problem_suite
 from repro.problems import (
     max_independent_set_problem,
@@ -67,10 +67,13 @@ class TestReduceProblem:
     def test_reduce_problem_result_shape(self):
         problem = problem_instance("mis", 14, seed=3, edge_probability=0.3)
         result = GraphReducer(seed=0).reduce_problem(problem)
-        assert isinstance(result, ProblemReductionResult)
         assert result.subproblem.num_qubits == len(result.nodes)
-        assert result.nodes == sorted(result.nodes)
-        assert set(result.node_mapping) == set(result.nodes)
+        assert result.node_mapping == {
+            node: index for index, node in enumerate(sorted(result.nodes))
+        }
+        # The per-layer benchmark probe reads these graph-side fields.
+        assert result.original_graph.number_of_nodes() == problem.num_qubits
+        assert result.reduced_graph.number_of_nodes() == len(result.nodes)
         assert 0.0 <= result.node_reduction < 1.0
         assert result.and_ratio > 0.0
         # Restriction keeps only interior couplings and the kept fields.
@@ -87,6 +90,20 @@ class TestReduceProblem:
         problem_result = GraphReducer(seed=7).reduce_problem(problem)
         assert set(problem_result.nodes) == set(graph_result.nodes)
         assert problem_result.and_ratio == graph_result.and_ratio
+
+    def test_pipeline_reduce_takes_a_graph_or_a_problem(self):
+        """RedQAOA.reduce is the one reduce step: a graph reduces as the
+        reducer's reduce, a problem as its reduce_problem."""
+        graph = _connected_er(12, 0.35, seed=5)
+        problem = problem_instance("mis", 12, seed=5, edge_probability=0.3)
+        for instance, direct in (
+            (graph, GraphReducer(seed=3).reduce(graph)),
+            (problem, GraphReducer(seed=3).reduce_problem(problem)),
+        ):
+            reduction = RedQAOA(reducer=GraphReducer(seed=3)).reduce(instance)
+            assert reduction.nodes == direct.nodes
+            assert reduction.and_ratio == direct.and_ratio
+            assert (reduction.subproblem is None) == (instance is graph)
 
     def test_target_size(self):
         problem = sk_problem(12, seed=1)
@@ -111,7 +128,6 @@ class TestPipelineProblems:
         problem = max_independent_set_problem(graph)
         result = RedQAOA(p=1, restarts=2, maxiter=25, finetune_maxiter=4,
                          seed=1).run(problem=problem)
-        assert isinstance(result.reduction, ProblemReductionResult)
         assert result.reduction.subproblem.num_qubits < problem.num_qubits
         # The returned assignment is the sampled-best outcome: its value is
         # the reported cut_value and respects the optimum bound.  (Strict

@@ -192,6 +192,14 @@ class TestConfigFingerprints:
             == JobSpec(graph=graph, label="b").fingerprint
         )
 
+    @pytest.mark.parametrize("seed", [True, "3", 2.7, 3.0, np.int64(3), None])
+    def test_non_int_seed_is_refused(self, seed):
+        """A seed enters the fingerprint as given, so ``"3"`` would run seed
+        3's instance under another fingerprint and ``np.int64(3)`` would
+        fail only when hashed."""
+        with pytest.raises(ValueError, match=r"^seed must be an int, got "):
+            JobSpec(graph=nx.path_graph(3), seed=seed)
+
     def test_exactly_one_workload_required(self):
         problem = DiagonalProblem(3, {(0, 1): -0.5})
         with pytest.raises(ValueError):

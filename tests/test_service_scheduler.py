@@ -173,6 +173,23 @@ class TestCrossInstanceMode:
         assert report.reduction_cross_hits == 1
         assert scheduler.reduction_cache.size == 1
 
+    def test_bank_counts_every_lookup(self):
+        """One bank lookup per graph instance: hits are the report's cross
+        hits, misses the instances reduced and banked."""
+        specs = manifest_specs(suite_manifest(
+            "maxcut", count=6, num_qubits=10, seed=0, restarts=1, maxiter=6,
+        ))
+        specs += manifest_specs(suite_manifest(
+            "mis", count=1, num_qubits=8, seed=0, restarts=1, maxiter=6,
+        ))
+        scheduler = BatchScheduler(reduction_reuse="cross-instance")
+        report = scheduler.run(specs)
+        cache = scheduler.reduction_cache
+        assert report.reduction_cross_hits > 0
+        assert cache.hits == report.reduction_cross_hits
+        assert cache.hits + cache.misses == 6  # the MIS job never looks up
+        assert cache.size == cache.misses
+
 
 class TestProblemJobs:
     def test_problem_suite_shares_plans_across_configs(self):
@@ -221,6 +238,13 @@ class TestCampaign:
         assert specs[0].maxiter == 8
         assert specs[2].maxiter == 10
         assert specs[2].kind == "problem"
+
+    @pytest.mark.parametrize("seed", ["3", 2.7, True])
+    def test_non_int_manifest_seed_fails_the_entry(self, seed):
+        """Not coerced into another job's instance under a new fingerprint."""
+        manifest = {"jobs": [{"kind": "maxcut", "nodes": 8, "seed": seed}]}
+        with pytest.raises(ValueError, match=r"^job 0: seed must be an int, got "):
+            manifest_specs(manifest)
 
     def test_unknown_manifest_keys_are_rejected(self):
         with pytest.raises(ValueError, match="unknown manifest keys"):
