@@ -108,6 +108,36 @@ def _maybe_weight(graph, args: argparse.Namespace, seed: int):
     return attach_weights(graph, args.weight_dist, seed=seed)
 
 
+def _add_manifest_options(command: argparse.ArgumentParser) -> None:
+    """The manifest options of ``batch`` and ``submit``, read by :func:`_manifest_from_args`."""
+    from repro.datasets.problems import PROBLEM_KINDS
+
+    command.add_argument("manifest", nargs="?", default=None,
+                         help="manifest file (YAML or JSON); omit with --suite")
+    command.add_argument("--suite", default=None, choices=PROBLEM_KINDS,
+                         help="generate the manifest: a dataset suite of this workload")
+    command.add_argument("--count", type=int, default=8,
+                         help="suite size (with --suite)")
+    command.add_argument("-n", "--nodes", type=int, default=12,
+                         help="suite instance size (with --suite)")
+    command.add_argument("--edge-prob", type=float, default=0.35,
+                         help="G(n, p) density for graph-structured suites")
+    command.add_argument("--weight-dist", default=None,
+                         choices=("uniform", "gaussian", "spin"),
+                         help="edge-weight / coupling distribution for maxcut or sk suites")
+    command.add_argument("--penalty", type=float, default=2.0,
+                         help="constraint penalty for mis / vertex-cover suites")
+    command.add_argument("--qubo-density", type=float, default=0.5,
+                         help="off-diagonal fill for qubo suites")
+    command.add_argument("--p", type=int, default=1, help="QAOA layers (suite default)")
+    command.add_argument("--restarts", type=int, default=3)
+    command.add_argument("--maxiter", type=int, default=40)
+    command.add_argument("--finetune-maxiter", type=int, default=0)
+    command.add_argument("--shots", type=int, default=1024)
+    command.add_argument("--seed", type=int, default=0,
+                         help="first suite seed (job i uses seed + i)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -212,36 +242,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "bit-identical with or without")
     _add_weight_options(solve)
 
-    from repro.datasets.problems import PROBLEM_KINDS
-
     batch = sub.add_parser(
         "batch",
         help="run a YAML/JSON job manifest through the batch scheduler",
     )
-    batch.add_argument("manifest", nargs="?", default=None,
-                       help="manifest file (YAML or JSON); omit with --suite")
-    batch.add_argument("--suite", default=None, choices=PROBLEM_KINDS,
-                       help="generate the manifest: a dataset suite of this workload")
-    batch.add_argument("--count", type=int, default=8,
-                       help="suite size (with --suite)")
-    batch.add_argument("-n", "--nodes", type=int, default=12,
-                       help="suite instance size (with --suite)")
-    batch.add_argument("--edge-prob", type=float, default=0.35,
-                       help="G(n, p) density for graph-structured suites")
-    batch.add_argument("--weight-dist", default=None,
-                       choices=("uniform", "gaussian", "spin"),
-                       help="edge-weight / coupling distribution for maxcut or sk suites")
-    batch.add_argument("--penalty", type=float, default=2.0,
-                       help="constraint penalty for mis / vertex-cover suites")
-    batch.add_argument("--qubo-density", type=float, default=0.5,
-                       help="off-diagonal fill for qubo suites")
-    batch.add_argument("--p", type=int, default=1, help="QAOA layers (suite default)")
-    batch.add_argument("--restarts", type=int, default=3)
-    batch.add_argument("--maxiter", type=int, default=40)
-    batch.add_argument("--finetune-maxiter", type=int, default=0)
-    batch.add_argument("--shots", type=int, default=1024)
-    batch.add_argument("--seed", type=int, default=0,
-                       help="first suite seed (job i uses seed + i)")
+    _add_manifest_options(batch)
     batch.add_argument("--store", default=None,
                        help="persistent JSONL result store; re-running against it "
                             "recomputes nothing")
@@ -314,32 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a manifest to a running serve daemon",
     )
-    submit.add_argument("manifest", nargs="?", default=None,
-                        help="manifest file (YAML or JSON); omit with --suite")
     submit.add_argument("--socket", required=True,
                         help="unix socket path of the daemon")
-    submit.add_argument("--suite", default=None, choices=PROBLEM_KINDS,
-                        help="generate the manifest: a dataset suite of this workload")
-    submit.add_argument("--count", type=int, default=8,
-                        help="suite size (with --suite)")
-    submit.add_argument("-n", "--nodes", type=int, default=12,
-                        help="suite instance size (with --suite)")
-    submit.add_argument("--edge-prob", type=float, default=0.35,
-                        help="G(n, p) density for graph-structured suites")
-    submit.add_argument("--weight-dist", default=None,
-                        choices=("uniform", "gaussian", "spin"),
-                        help="edge-weight / coupling distribution for maxcut or sk suites")
-    submit.add_argument("--penalty", type=float, default=2.0,
-                        help="constraint penalty for mis / vertex-cover suites")
-    submit.add_argument("--qubo-density", type=float, default=0.5,
-                        help="off-diagonal fill for qubo suites")
-    submit.add_argument("--p", type=int, default=1, help="QAOA layers (suite default)")
-    submit.add_argument("--restarts", type=int, default=3)
-    submit.add_argument("--maxiter", type=int, default=40)
-    submit.add_argument("--finetune-maxiter", type=int, default=0)
-    submit.add_argument("--shots", type=int, default=1024)
-    submit.add_argument("--seed", type=int, default=0,
-                        help="first suite seed (job i uses seed + i)")
+    _add_manifest_options(submit)
     submit.add_argument("--no-wait", action="store_true",
                         help="print the ticket and return without waiting "
                              "for results")

@@ -14,11 +14,11 @@ Ring layout: the live file is ``path``; on overflow it rotates to
 segment past ``segments`` falls off the end.  Total footprint is bounded
 by ~``max_bytes`` no matter how long the daemon runs.
 
-Reading back, :func:`load_history` walks the ring oldest-first and --
-like :class:`~repro.service.store.ResultStore` -- tolerates a truncated
-final line (the footprint of a daemon killed mid-append) and skips
-undecodable lines rather than failing.  :class:`HistorySeries` then
-reconstructs time series from the records:
+The ring goes through :mod:`repro.utils.jsonl`, so like the result store
+every append heals a torn tail (a daemon killed mid-append) under the file
+lock, and :func:`load_history` walks the ring oldest-first skipping
+undecodable lines.  :class:`HistorySeries` then reconstructs time series
+from the records:
 
 - :meth:`HistorySeries.counter_rate`: per-interval **deltas** of a
   cumulative counter divided by elapsed wall time (events/sec);
@@ -38,12 +38,12 @@ it reads the registry and the clock, and can change no result bit.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 from repro.obs.metrics import REGISTRY, quantile_from_buckets
+from repro.utils import jsonl
 
 __all__ = [
     "FlightRecorder",
@@ -107,8 +107,6 @@ class FlightRecorder:
         self._segment_bytes = max(1, self.max_bytes // self.segments)
         self._seq = 0
         self._last: float | None = None  # monotonic stamp of the last append
-        self._tail_checked = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     # -- recording -----------------------------------------------------------
 
@@ -139,56 +137,9 @@ class FlightRecorder:
         }
         if extra:
             record.update(extra)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        self._heal_torn_tail()
-        self._rotate_if_needed(len(line))
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line)
+        jsonl.append(self.path, record, max_bytes=self._segment_bytes, backups=self.segments - 1)
         _SNAPSHOTS.inc()
         return record
-
-    def _heal_torn_tail(self) -> None:
-        """Terminate an unfinished final line left by a killed writer.
-
-        Without this, the first append after a ``kill -9`` mid-write would
-        concatenate onto the torn line and lose *two* records instead of
-        one.  Checked once per recorder: only a fresh daemon can inherit a
-        torn file.
-        """
-        if self._tail_checked:
-            return
-        self._tail_checked = True
-        try:
-            with self.path.open("rb+") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-        except OSError:
-            return
-
-    def _rotate_if_needed(self, incoming: int) -> None:
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return
-        if size == 0 or size + incoming <= self._segment_bytes:
-            return
-        if self.segments == 1:
-            self.path.unlink(missing_ok=True)  # degenerate ring: truncate
-            return
-        oldest = self._segment(self.segments - 1)
-        oldest.unlink(missing_ok=True)
-        for index in range(self.segments - 2, 0, -1):
-            source = self._segment(index)
-            if source.exists():
-                source.replace(self._segment(index + 1))
-        self.path.replace(self._segment(1))
-
-    def _segment(self, index: int) -> Path:
-        return self.path.with_name(f"{self.path.name}.{index}")
 
 
 # -- reading ------------------------------------------------------------------
@@ -196,16 +147,7 @@ class FlightRecorder:
 
 def history_files(path: str | os.PathLike) -> list[Path]:
     """The ring's segments, oldest first (rotated ``.N`` ... ``.1``, live)."""
-    path = Path(path)
-    rotated = []
-    for sibling in path.parent.glob(f"{path.name}.*"):
-        suffix = sibling.name[len(path.name) + 1 :]
-        if suffix.isdigit():
-            rotated.append((int(suffix), sibling))
-    files = [sibling for _, sibling in sorted(rotated, reverse=True)]
-    if path.exists():
-        files.append(path)
-    return files
+    return jsonl.segments(path)
 
 
 def load_history(path: str | os.PathLike) -> list[dict]:
@@ -215,24 +157,12 @@ def load_history(path: str | os.PathLike) -> list[dict]:
     footprint) and records with an unknown schema -- the reader must
     always come up, exactly like the result store.
     """
-    records: list[dict] = []
-    for segment in history_files(path):
-        with segment.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated tail of a killed writer
-                if (
-                    isinstance(record, dict)
-                    and record.get("schema") == HISTORY_SCHEMA
-                    and record.get("kind") == "snapshot"
-                ):
-                    records.append(record)
-    return records
+    return [
+        record
+        for segment in jsonl.segments(path)
+        for record in jsonl.read(segment)[0]
+        if record.get("schema") == HISTORY_SCHEMA and record.get("kind") == "snapshot"
+    ]
 
 
 class HistorySeries:

@@ -27,6 +27,8 @@ import math
 import os
 from pathlib import Path
 
+from repro.utils import jsonl
+
 __all__ = [
     "DEFAULT_FLOOR",
     "REGRESS_SCHEMA",
@@ -126,10 +128,8 @@ def make_record(label: str, paths, unix: float | None = None) -> dict:
 
 
 def append_record(path: str | os.PathLike, record: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    """Append one trajectory line (a torn tail is healed first)."""
+    jsonl.append(path, record)
 
 
 def load_records(paths) -> list[dict]:
@@ -148,13 +148,7 @@ def load_records(paths) -> list[dict]:
             records.append({"label": path.stem, "host": host, "metrics": metrics})
             continue
         snapshots: list[dict] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # blank or truncated tail, tolerated like every reader here
-            if not isinstance(payload, dict):
-                continue
+        for payload in jsonl.read(path)[0]:  # a truncated tail is skipped
             if payload.get("kind") == "bench":
                 host = payload.get("host")
                 records.append({

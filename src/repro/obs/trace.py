@@ -43,12 +43,13 @@ runs are bit-identical to untraced ones.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+from repro.utils import jsonl
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -129,13 +130,10 @@ class Tracer:
 
     def emit(self, record: dict) -> None:
         """Append one finished record to the sink (file or buffer)."""
-        if self.path is not None:
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            with self._lock:
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-        else:
-            with self._lock:
+        with self._lock:
+            if self.path is not None:
+                jsonl.append(self.path, record)
+            else:
                 self._buffer.append(record)
 
     def drain(self) -> list[dict]:
@@ -372,21 +370,9 @@ def trace_job(job: str, **attrs):
 
 def load_trace(path: str | os.PathLike) -> tuple[list[dict], list[dict]]:
     """All span records and all metrics records from a trace file."""
-    spans: list[dict] = []
-    metrics: list[dict] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated tail of a killed process
-            if record.get("kind") == "span":
-                spans.append(record)
-            elif record.get("kind") == "metrics":
-                metrics.append(record)
+    records, _ = jsonl.read(path)  # a killed process's torn tail is skipped
+    spans = [record for record in records if record.get("kind") == "span"]
+    metrics = [record for record in records if record.get("kind") == "metrics"]
     return spans, metrics
 
 

@@ -87,21 +87,6 @@ class Ticket:
         }
 
 
-def _result_fields(spec: JobSpec, result: JobResult) -> dict:
-    best = result.best_value
-    return {
-        "source": result.source,
-        "expectation": result.expectation,
-        "best_value": None if best != best else best,  # NaN -> None
-        "gammas": result.gammas,
-        "betas": result.betas,
-        "bits": result.bits,
-        "reduced_qubits": result.reduced_qubits,
-        "and_ratio": result.and_ratio,
-        "assignment": {str(k): v for k, v in result.assignment_for(spec).items()},
-    }
-
-
 class ServeDaemon:
     """A persistent, crash-tolerant job server over a unix socket.
 
@@ -319,7 +304,8 @@ class ServeDaemon:
         result = ticket.cached.get(fingerprint) or self.queue.completed.get(fingerprint)
         if result is not None:
             entry["status"] = "done"
-            entry["result"] = _result_fields(spec, result)
+            fields = result.report_fields(result.assignment_for(spec))
+            entry["result"] = {"source": result.source, **fields}
             return entry
         dead = self.queue.dead.get(fingerprint)
         if dead is not None:

@@ -450,6 +450,20 @@ class JobResult:
         ordering = spec.canonical().ordering
         return {label: self.bits[index] for index, label in enumerate(ordering)}
 
+    def report_fields(self, assignment: dict) -> dict:
+        """The JSON fields batch reports and daemon replies print, in order:
+        NaN best value as ``None``, ``assignment`` (:meth:`assignment_for`) str-keyed."""
+        return {
+            "expectation": self.expectation,
+            "best_value": None if math.isnan(self.best_value) else self.best_value,
+            "gammas": self.gammas,
+            "betas": self.betas,
+            "bits": self.bits,
+            "reduced_qubits": self.reduced_qubits,
+            "and_ratio": self.and_ratio,
+            "assignment": {str(k): v for k, v in assignment.items()},
+        }
+
     def to_payload(self) -> dict:
         """JSON-serializable body for the result store (NaN encoded as None)."""
         return {

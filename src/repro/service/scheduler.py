@@ -39,7 +39,8 @@ cross-instance transfer.  That trades bit-identity (the surrogate landscape
 is close, not equal) for skipping the annealing search; it stays
 deterministic for a fixed manifest *set* because reductions are processed
 in sorted instance-fingerprint order.  The bank only banks: a miss reduces
-through the job's pipeline as in exact mode, then banks the result.
+through the job's pipeline as in exact mode, then banks the result.  Jobs
+served from the bank never reach the store, which holds exact results only.
 """
 
 from __future__ import annotations
@@ -87,20 +88,15 @@ class JobView:
     assignment: dict
 
     def to_dict(self) -> dict:
-        best = self.result.best_value
+        fields = self.result.report_fields(self.assignment)
+        del fields["bits"]  # the report carries the assignment alone
         return {
             "index": self.index,
             "label": self.label,
             "kind": self.kind,
             "fingerprint": self.fingerprint,
             "source": self.source,
-            "expectation": self.result.expectation,
-            "best_value": None if best != best else best,  # NaN -> None
-            "gammas": self.result.gammas,
-            "betas": self.result.betas,
-            "reduced_qubits": self.result.reduced_qubits,
-            "and_ratio": self.result.and_ratio,
-            "assignment": {str(k): v for k, v in self.assignment.items()},
+            **fields,
         }
 
 
@@ -151,7 +147,9 @@ class BatchScheduler:
     ----------
     store:
         Optional :class:`~repro.service.store.ResultStore`; completed jobs
-        are written through it and found jobs skip execution entirely.
+        are written through it and found jobs skip execution entirely.  A
+        job whose instance was served a banked cross-instance reduction is
+        not written: its result is not its fingerprint's exact answer.
     plan_cache:
         Shared compiled-plan bank; a private one is created when omitted.
     reduction_reuse:
@@ -239,7 +237,7 @@ class BatchScheduler:
             by_instance.setdefault(key, []).append(fingerprint)
         reductions: dict[str, object] = {}
         reduction_reuses = 0
-        cross_hits = 0
+        banked_instances: set[str] = set()
         for instance_fp in sorted(by_instance):
             spec = unique[by_instance[instance_fp][0]]
             instance = spec.canonical().instance
@@ -247,7 +245,7 @@ class BatchScheduler:
             banked = self.reduction_cache.lookup(instance) if cross else None
             if banked is not None:
                 reduction = _reduction_from_bank(instance, banked)
-                cross_hits += 1
+                banked_instances.add(instance_fp)
             else:
                 # Phase-1 reductions get their own mini span trees (root
                 # named "job" like every tree, so one validator covers
@@ -283,7 +281,8 @@ class BatchScheduler:
 
         def landed(spec, result):
             results[result.fingerprint] = result
-            if self.store is not None:
+            # a bank-served result is not its fingerprint's exact answer
+            if self.store is not None and spec.instance_fingerprint not in banked_instances:
                 self.store.put(result)
             if on_result is not None:
                 on_result(spec, result)
@@ -328,7 +327,7 @@ class BatchScheduler:
             store_misses=len(pending) if self.store is not None else 0,
             computed=len(pending),
             reduction_reuses=reduction_reuses,
-            reduction_cross_hits=cross_hits,
+            reduction_cross_hits=len(banked_instances),
             plan_hits=self.plan_cache.hits - plan_hits0,
             plan_misses=self.plan_cache.misses - plan_misses0,
             seconds=time.perf_counter() - start,

@@ -1,19 +1,13 @@
 """Persistent, append-only result store keyed by job fingerprint.
 
 :class:`ResultStore` makes repeated jobs free across process restarts: one
-JSONL file, one record per completed job, appended with an ``fsync`` so a
-finished job survives a crash the moment :meth:`ResultStore.put` returns.
-Records are schema-versioned; on load, records with an unknown schema are
-skipped (counted, never fatal) and a truncated final line -- the footprint
-of a process killed mid-append -- is tolerated, so a store written by a
-killed campaign always resumes cleanly with every fully written result
-intact.
-
-Appends take an advisory ``flock`` on the store file (where the platform
-provides one), so two processes sharing one store file -- a daemon and a
-batch run, or two daemons -- serialize their appends instead of
-interleaving partial JSONL lines.  The lock covers exactly one
-write+fsync; readers never block.
+JSONL file (:mod:`repro.utils.jsonl`), one record per completed job.  Every
+append takes an advisory ``flock`` and, under it, heals a torn tail left by
+a writer killed mid-append, so a record is durable the moment
+:meth:`ResultStore.put` returns -- also when a daemon and a batch run share
+the file.  Records are schema-versioned; on load, unknown-schema records
+and undecodable (torn) lines are counted and skipped, never fatal, so a
+killed campaign always resumes with every fully written result intact.
 
 Later records win on duplicate fingerprints (the file is append-only, so
 "latest" is simply the last line), and all floats round-trip exactly
@@ -31,17 +25,12 @@ forever.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
-try:  # advisory locking is POSIX-only; the store degrades gracefully
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
 from repro.obs.metrics import REGISTRY
 from repro.service.jobs import JobResult
+from repro.utils import jsonl
 
 __all__ = ["STORE_SCHEMA", "ResultStore"]
 
@@ -93,20 +82,11 @@ class ResultStore:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # A truncated final line is the normal crash footprint;
-                # anything else undecodable is counted and skipped too --
-                # the store must always come up.
-                self.corrupt_lines += 1
-                continue
-            if not isinstance(record, dict) or record.get("schema") != STORE_SCHEMA:
+        # Undecodable lines -- a torn final line is the normal crash
+        # footprint -- are counted and skipped: the store must always come up.
+        records, self.corrupt_lines = jsonl.read(self.path)
+        for record in records:
+            if record.get("schema") != STORE_SCHEMA:
                 self.skipped_schema += 1
                 continue
             fingerprint = record.get("fingerprint")
@@ -191,19 +171,4 @@ class ResultStore:
 
     def _append(self, record: dict) -> None:
         _STORE_APPENDS.inc()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self.path.open("a", encoding="utf-8") as handle:
-            if fcntl is not None:
-                # Advisory exclusive lock for the single write+fsync below:
-                # concurrent writers sharing this file queue up instead of
-                # interleaving partial lines.  Released with the handle.
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(line + "\n")
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        jsonl.append(self.path, record, fsync=self.fsync)

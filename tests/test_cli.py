@@ -67,6 +67,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["not-a-command"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "mis", "--count", "3", "-n", "9", "--edge-prob", "0.5",
+         "--penalty", "3.0", "--p", "2", "--restarts", "2", "--maxiter", "7",
+         "--finetune-maxiter", "3", "--shots", "64", "--seed", "5"],
+        ["--suite", "qubo", "--qubo-density", "0.3"],
+        ["--suite", "maxcut", "--weight-dist", "gaussian"],
+    ])
+    def test_batch_and_submit_resolve_one_manifest(self, argv):
+        from repro.cli import _build_parser, _manifest_from_args
+
+        parser = _build_parser()
+        batch = parser.parse_args(["batch", *argv])
+        submit = parser.parse_args(["submit", "--socket", "s.sock", *argv])
+        assert _manifest_from_args(batch) == _manifest_from_args(submit)
+
 
 class TestVersion:
     def test_version_prints_package_version(self, capsys):
@@ -207,6 +222,18 @@ class TestServeSubmit:
         payload = json.loads(out[out.index("{"):])
         assert code == 0
         assert payload["done"] and payload["counts"] == {"done": 2}
+        # the daemon's per-job result fields are the batch report's, byte
+        # for byte and in the same key order (plus the canonical bits)
+        assert main(["batch", *submit[3:], "--json"]) == 0
+        batch = json.loads(capsys.readouterr().out)
+        for job, view in zip(payload["jobs"], batch["per_job"]):
+            assert list(job["result"]) == [
+                "source", "expectation", "best_value", "gammas", "betas",
+                "bits", "reduced_qubits", "and_ratio", "assignment",
+            ]
+            served = {key: job[key] for key in ("index", "label", "kind", "fingerprint")}
+            served.update((k, v) for k, v in job["result"].items() if k != "bits")
+            assert json.dumps(served) == json.dumps(view)
         # second submission: everything cached, text output says so
         assert main(submit) == 0
         out = capsys.readouterr().out

@@ -27,6 +27,16 @@ class TestFileSink:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 and "loud" in lines[0]
 
+    def test_event_after_torn_tail_survives(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        EventLog(level="info", path=path).info("before", index=0)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 10])  # daemon killed mid-line
+        EventLog(level="info", path=path).info("after", index=1)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[1])["event"] == "after"
+
     def test_rotation_bounds_the_live_file(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(level="info", path=path, max_bytes=600, backups=1)

@@ -233,6 +233,14 @@ class TestRecords:
         assert record["host"] == HOST
         assert record["metrics"]["small-mix/jobs_per_s"]["value"] == 10.0
 
+    def test_append_after_torn_tail_survives(self, root, tmp_path):
+        out = tmp_path / "trajectory.jsonl"
+        append_record(out, make_record("first", [_jobbench(root, seed=1)]))
+        raw = out.read_bytes()
+        out.write_bytes(raw[: len(raw) - 30])  # killed mid-append
+        append_record(out, make_record("second", [_jobbench(root, seed=2)]))
+        assert [record["label"] for record in load_records([out])] == ["second"]
+
 
 class TestBenchCli:
     def _write_pair(self, root):

@@ -92,6 +92,17 @@ class TestTracerPrimitives:
         assert [s["name"] for s in spans] == ["work"]
         assert metrics[0]["snapshot"]["counters"]["redqaoa_store_hits_total"] == 1.0
 
+    def test_span_after_torn_tail_survives(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with Tracer(path).span("first"):
+            pass
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 20])  # process killed mid-span
+        with Tracer(path).span("second"):
+            pass
+        spans, _ = load_trace(path)
+        assert [s["name"] for s in spans] == ["second"]
+
     def test_span_ids_unique_across_tracers_in_one_process(self):
         # one file tracer + many per-job collectors coexist in the inline
         # topology; their ids must never collide or trees go recursive

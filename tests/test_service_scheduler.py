@@ -173,6 +173,28 @@ class TestCrossInstanceMode:
         assert report.reduction_cross_hits == 1
         assert scheduler.reduction_cache.size == 1
 
+    def test_bank_hit_results_never_reach_the_store(self, tmp_path):
+        """A job optimized on another instance's banked reduction is not its
+        fingerprint's exact answer: a later exact batch on the same store
+        must recompute it (and only it)."""
+        base = nx.erdos_renyi_graph(10, 0.45, seed=2)
+        similar = nx.Graph(base)
+        similar.add_edges_from([(10, 0), (10, 1), (10, 2), (10, 3), (10, 4)])
+        specs = [
+            JobSpec(graph=base, restarts=1, maxiter=8),
+            JobSpec(graph=similar, restarts=1, maxiter=8),
+        ]
+        path = tmp_path / "store.jsonl"
+        cross = BatchScheduler(
+            store=ResultStore(path), reduction_reuse="cross-instance"
+        ).run(specs)
+        assert cross.reduction_cross_hits == 1
+        assert len(ResultStore(path)) == 1
+        exact = BatchScheduler(store=ResultStore(path)).run(specs)
+        assert (exact.store_hits, exact.computed) == (1, 1)
+        for view, spec in zip(exact.results, specs):
+            assert _key(view.result) == _key(run_job(spec))
+
     def test_bank_counts_every_lookup(self):
         """One bank lookup per graph instance: hits are the report's cross
         hits, misses the instances reduced and banked."""

@@ -89,6 +89,20 @@ class TestDurabilityAndTolerance:
         assert "fp-a" in survivor
         assert "fp-b" not in survivor
 
+    def test_put_after_torn_tail_survives_reload(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        store.put(_result("a"))
+        store.put(_result("b"))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 40])  # killed mid-append of "b"
+        resumed = ResultStore(path)
+        resumed.put(_result("c"))
+        survivor = ResultStore(path)
+        assert survivor.corrupt_lines == 1  # only the torn "b" is lost
+        assert "fp-a" in survivor and "fp-c" in survivor
+        assert "fp-b" not in survivor
+
     def test_unknown_schema_lines_are_skipped(self, tmp_path):
         path = tmp_path / "store.jsonl"
         ResultStore(path).put(_result("a"))
@@ -188,6 +202,21 @@ class TestConcurrentAppend:
         for worker in range(4):
             found = merged.get(f"fp-w{worker}-0")
             assert found is not None and found.best_value == float(worker)
+
+
+    def test_sibling_put_survives_a_writer_killed_mid_line(self, tmp_path):
+        """Two stores share one file; one dies mid-append, the other's put
+        (fsync'd) must still be there on reload."""
+        path = tmp_path / "store.jsonl"
+        daemon, batch = ResultStore(path), ResultStore(path)
+        daemon.put(_result("a"))
+        line = path.read_text().splitlines()[0].replace("fp-a", "fp-x")
+        with path.open("a") as handle:
+            handle.write(line[: len(line) // 2])  # the daemon's torn append
+        batch.put(_result("b"))
+        survivor = ResultStore(path)
+        assert survivor.corrupt_lines == 1
+        assert sorted(survivor.fingerprints()) == ["fp-a", "fp-b"]
 
 
 def _append_many(path: str, worker: int, count: int) -> None:
