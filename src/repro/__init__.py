@@ -17,10 +17,12 @@ Subpackages
     The paper's contribution: simulated-annealing graph reduction and the
     end-to-end Red-QAOA optimization pipeline.
 ``repro.quantum``
-    The simulation substrate: circuits, statevector / density-matrix /
-    trajectory simulators, noise models, fake device backends, transpiler.
+    Circuits and devices: the circuit IR, fake device backends with
+    calibration data, and the SABRE transpiler.  It describes and routes
+    circuits; all simulation is in ``repro.qaoa``.
 ``repro.qaoa``
-    MaxCut QAOA: Hamiltonians, fast simulation engines, energy landscapes,
+    MaxCut QAOA: Hamiltonians, the simulation engines (statevector,
+    lightcone, analytic) and their noise model, energy landscapes,
     classical optimizers.
 ``repro.problems``
     The general Ising/QUBO workload layer: :class:`DiagonalProblem`
@@ -71,7 +73,7 @@ from repro.qaoa import (
     maxcut_expectation,
     noisy_maxcut_expectation,
 )
-from repro.quantum import FakeBackend, NoiseModel, QuantumCircuit, get_backend
+from repro.quantum import FakeBackend, QuantumCircuit, get_backend
 from repro.service import BatchScheduler, Campaign, JobSpec, ResultStore
 
 __all__ = [
@@ -82,7 +84,6 @@ __all__ = [
     "ResultStore",
     "FakeBackend",
     "GraphReducer",
-    "NoiseModel",
     "QuantumCircuit",
     "RedQAOA",
     "ReductionResult",

@@ -140,6 +140,7 @@ def _add_manifest_options(command: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.quantum import list_backends
 
     parser = argparse.ArgumentParser(
         prog="red-qaoa",
@@ -157,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="landscape grid width (paper default 32)")
     noisy.add_argument("--shots", type=int, default=2048,
                        help="shots per landscape point (paper default 8192)")
-    noisy.add_argument("--device", default="toronto", help="fake backend name")
+    noisy.add_argument("--device", default="toronto", choices=list_backends(),
+                       help="fake backend name")
     noisy.add_argument("--trajectories", type=int, default=4)
     noisy.add_argument("--seed", type=int, default=0)
     _add_weight_options(noisy)
@@ -421,6 +423,10 @@ def _cmd_mse_noisy(args: argparse.Namespace) -> int:
     backend = get_backend(args.device)
     graph = _maybe_weight(random_connected_gnp(args.nodes, 0.4, seed=args.seed),
                           args, args.seed)
+    try:
+        noise_base = FastNoiseSpec.for_graph(backend, graph)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     reduction = GraphReducer(seed=args.seed).reduce(graph)
     reduced = reduction.reduced_graph
     flavor = f" ({args.weight_dist}-weighted)" if args.weighted else ""
@@ -430,8 +436,7 @@ def _cmd_mse_noisy(args: argparse.Namespace) -> int:
 
     ideal = compute_landscape(graph, width=args.width).values
     noisy_base = compute_noisy_landscape(
-        graph, FastNoiseSpec.for_graph(backend, graph),
-        width=args.width, trajectories=args.trajectories,
+        graph, noise_base, width=args.width, trajectories=args.trajectories,
         shots=args.shots, seed=args.seed,
     ).values
     noisy_red = compute_noisy_landscape(

@@ -11,7 +11,7 @@ paper's discussion points to (ref. [55]):
   inverting the per-qubit assignment confusion matrices.
 """
 
-from repro.mitigation.readout import ReadoutMitigator
+from repro.mitigation.readout import ReadoutError, ReadoutMitigator
 from repro.mitigation.zne import (
     richardson_extrapolate,
     scale_noise,
@@ -19,6 +19,7 @@ from repro.mitigation.zne import (
 )
 
 __all__ = [
+    "ReadoutError",
     "ReadoutMitigator",
     "richardson_extrapolate",
     "scale_noise",

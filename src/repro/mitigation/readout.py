@@ -9,11 +9,34 @@ produce small negative entries).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.quantum.noise import NoiseModel, ReadoutError
+__all__ = ["ReadoutError", "ReadoutMitigator"]
 
-__all__ = ["ReadoutMitigator"]
+
+@dataclass
+class ReadoutError:
+    """Measurement assignment error for one qubit.
+
+    ``p01`` is P(read 1 | prepared 0); ``p10`` is P(read 0 | prepared 1).
+    """
+
+    p01: float
+    p10: float
+
+    def __post_init__(self) -> None:
+        for name, p in (("p01", self.p01), ("p10", self.p10)):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
+
+    @property
+    def confusion_matrix(self) -> np.ndarray:
+        """2x2 matrix ``M[observed, true]``."""
+        return np.array(
+            [[1 - self.p01, self.p10], [self.p01, 1 - self.p10]], dtype=float
+        )
 
 
 class ReadoutMitigator:
@@ -34,11 +57,6 @@ class ReadoutMitigator:
                     "confusion matrix is singular (50/50 readout cannot be inverted)"
                 )
             self._inverses.append(np.linalg.inv(matrix))
-
-    @classmethod
-    def from_noise_model(cls, model: NoiseModel, num_qubits: int) -> "ReadoutMitigator":
-        """Build from the readout entries of a :class:`NoiseModel`."""
-        return cls([model.readout_error(q) for q in range(num_qubits)])
 
     @classmethod
     def symmetric(cls, p_flip: float, num_qubits: int) -> "ReadoutMitigator":

@@ -4,8 +4,8 @@ The MaxCut cost layer is diagonal, so a p-layer QAOA circuit reduces to
 ``p`` rounds of (elementwise phase multiply, per-qubit RX) on the state.
 This engine is exact and one to two orders of magnitude faster than walking
 the gate-level IR, which makes the paper's 1024-point landscape grids cheap
-on a laptop.  A cross-check against the generic gate-level simulator lives
-in the test suite.
+on a laptop.  The gate-level references it is checked against live with
+the tests, in ``tests/_gate_oracles.py``.
 
 The module also provides the *fast noisy path*: Pauli-trajectory noise
 injected at the QAOA-layer granularity (one two-qubit error channel per
@@ -310,12 +310,19 @@ class FastNoiseSpec:
 
         Biases are drawn from a generator seeded by (backend, graph shape),
         so the same (device, graph) pair always sees the same systematic
-        error -- as a real calibration snapshot would.
+        error -- as a real calibration snapshot would.  A graph with more
+        nodes than the device has qubits raises ``ValueError``, as
+        :func:`~repro.quantum.transpiler.transpile` does.
         """
         n = graph.number_of_nodes()
         m = graph.number_of_edges()
         if n == 0:
             raise ValueError("graph must have nodes")
+        if n > backend.num_qubits:
+            raise ValueError(
+                f"a {n}-node graph needs {n} qubits but device {backend.name!r} "
+                f"has {backend.num_qubits}"
+            )
         graph_degree = 2.0 * m / n
         device_degree = 2.0 * len(backend.coupling_map.edges) / backend.num_qubits
         overhead = 1.0 + 0.15 * n + 0.3 * max(0.0, graph_degree - device_degree)

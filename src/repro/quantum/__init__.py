@@ -1,41 +1,25 @@
-"""Quantum-circuit simulation substrate.
+"""Quantum circuits and devices: describe a circuit and route it.
 
-This subpackage replaces the Qiskit/Aer stack used by the paper with an
-in-house implementation: a circuit IR (:mod:`repro.quantum.circuit`), ideal
-statevector simulation (:mod:`repro.quantum.statevector`), exact noisy
-simulation via density matrices (:mod:`repro.quantum.density_matrix`),
-scalable noisy simulation via Pauli trajectories
-(:mod:`repro.quantum.trajectories`), configurable noise models
-(:mod:`repro.quantum.noise`), fake device backends with coupling maps and
-calibration data (:mod:`repro.quantum.backends`), and a SABRE-style
-transpiler (:mod:`repro.quantum.transpiler`).
+This subpackage stands in for the Qiskit pieces the paper's Sec. 5.3 flow
+uses to map QAOA onto hardware: a circuit IR (:mod:`repro.quantum.circuit`),
+fake device backends with coupling maps and calibration data
+(:mod:`repro.quantum.backends`, :mod:`repro.quantum.coupling`), and a
+SABRE-style transpiler (:mod:`repro.quantum.transpiler`).  It simulates
+nothing: QAOA runs through :mod:`repro.qaoa.fast_sim`, whose
+:class:`~repro.qaoa.fast_sim.FastNoiseSpec` reads a backend's error rates.
 """
 
 from repro.quantum.circuit import Instruction, QuantumCircuit
-from repro.quantum.statevector import StatevectorSimulator
-from repro.quantum.density_matrix import DensityMatrixSimulator
-from repro.quantum.trajectories import TrajectorySimulator
-from repro.quantum.noise import NoiseModel, ReadoutError
 from repro.quantum.backends import FakeBackend, get_backend, list_backends
 from repro.quantum.coupling import CouplingMap
-from repro.quantum.executor import DeviceExecutor, ExecutionResult
 from repro.quantum.transpiler import TranspileResult, transpile
-from repro.quantum.visualization import draw
 
 __all__ = [
     "CouplingMap",
-    "DensityMatrixSimulator",
-    "DeviceExecutor",
-    "ExecutionResult",
     "FakeBackend",
     "Instruction",
-    "NoiseModel",
     "QuantumCircuit",
-    "ReadoutError",
-    "StatevectorSimulator",
-    "TrajectorySimulator",
     "TranspileResult",
-    "draw",
     "get_backend",
     "list_backends",
     "transpile",

@@ -4,9 +4,9 @@ The paper simulates against Qiskit fake backends (FakeToronto et al.) and
 runs on real ibmq_kolkata / Rigetti Aspen-M-3 hardware.  Offline, we encode
 each device as a :class:`FakeBackend`: topology, basis gates, gate times,
 coherence times, and error rates in the ballpark of published calibrations.
-``build_noise_model`` turns a backend into a
-:class:`~repro.quantum.noise.NoiseModel` combining depolarizing gate error,
-twirled thermal relaxation, and readout error.
+The transpiler routes onto the topology, and
+:meth:`~repro.qaoa.fast_sim.FastNoiseSpec.for_graph` turns the error rates
+into QAOA-layer noise.
 
 Exact calibration values are irrelevant to the paper's claims -- what
 matters is (a) realistic topology for the transpiler and (b) an error-rate
@@ -16,7 +16,7 @@ Melbourne worst).  Both are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.quantum.coupling import (
     FALCON_27_EDGES,
@@ -25,14 +25,6 @@ from repro.quantum.coupling import (
     CouplingMap,
     aspen_octagonal_map,
     heavy_hex_map,
-)
-from repro.quantum.noise import (
-    NoiseModel,
-    ReadoutError,
-    _compose_pauli,
-    depolarizing_error,
-    pauli_error,
-    thermal_relaxation_error,
 )
 
 __all__ = ["FakeBackend", "get_backend", "list_backends"]
@@ -43,7 +35,7 @@ _TWO_QUBIT_GATES = ("cx", "cz", "rzz", "swap")
 
 @dataclass
 class FakeBackend:
-    """A quantum device description sufficient for noisy simulation.
+    """A quantum device: topology, basis gates and calibration.
 
     Times are in seconds; error rates are per-gate probabilities.
     """
@@ -60,39 +52,10 @@ class FakeBackend:
     time_readout: float = 700e-9
     basis_gates: tuple[str, ...] = ("rz", "sx", "x", "cx")
     description: str = ""
-    _noise_model: NoiseModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_qubits(self) -> int:
         return self.coupling_map.num_qubits
-
-    def build_noise_model(self) -> NoiseModel:
-        """Noise model: depolarizing + twirled relaxation + readout error.
-
-        The result is cached; it contains only Pauli channels, so both the
-        density-matrix and trajectory simulators handle it (for trajectories
-        the Pauli form is exact for this model, no further twirl needed).
-        """
-        if self._noise_model is not None:
-            return self._noise_model
-        model = NoiseModel()
-        relax_1q = thermal_relaxation_error(self.t1, self.t2, self.time_1q).to_pauli()
-        relax_2q = thermal_relaxation_error(self.t1, self.t2, self.time_2q).to_pauli()
-
-        probs_1q = _compose_pauli(depolarizing_error(self.error_1q, 1).to_pauli(), relax_1q)
-        # rz is virtual (frame change) on IBM hardware: error-free.
-        noisy_1q = tuple(g for g in _SINGLE_QUBIT_GATES if g != "rz")
-        model.add_all_qubit_quantum_error(pauli_error(probs_1q), noisy_1q)
-
-        relax_2q_pair = _tensor_pauli(relax_2q, relax_2q)
-        probs_2q = _compose_pauli(depolarizing_error(self.error_2q, 2).to_pauli(), relax_2q_pair)
-        model.add_all_qubit_quantum_error(pauli_error(probs_2q), _TWO_QUBIT_GATES)
-
-        readout = ReadoutError(p01=self.error_readout, p10=self.error_readout)
-        for qubit in range(self.num_qubits):
-            model.add_readout_error(readout, qubit)
-        self._noise_model = model
-        return model
 
     def gate_time(self, gate_name: str) -> float:
         """Duration of one gate, used by the throughput model."""
@@ -104,15 +67,6 @@ class FakeBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FakeBackend({self.name!r}, qubits={self.num_qubits})"
-
-
-def _tensor_pauli(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
-    """Tensor product of two Pauli channels (labels concatenate)."""
-    out: dict[str, float] = {}
-    for la, pa in a.items():
-        for lb, pb in b.items():
-            out[la + lb] = out.get(la + lb, 0.0) + pa * pb
-    return out
 
 
 def _falcon(name: str, e1: float, e2: float, ro: float, t1: float, t2: float,

@@ -2,7 +2,8 @@
 
 A :class:`QuantumCircuit` is an ordered list of :class:`Instruction` records
 over ``num_qubits`` wires.  The IR is intentionally simple: gates append in
-program order, depth is computed on demand, and simulators walk the list.
+program order, depth is computed on demand, and the transpiler rewrites
+the list.
 
 Example
 -------
@@ -18,9 +19,19 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
-from repro.quantum.gates import GATE_ARITY, PARAM_COUNT
+__all__ = ["GATE_ARITY", "PARAM_COUNT", "Instruction", "QuantumCircuit"]
 
-__all__ = ["Instruction", "QuantumCircuit"]
+# The gate set: what QAOA circuits and their transpiled forms need.  Gates
+# are lowercase names; a two-qubit gate on (q0, q1) with q0 the control.
+GATE_ARITY: dict[str, int] = {
+    **dict.fromkeys(("i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx"), 1),
+    **dict.fromkeys(("rx", "ry", "rz", "u3"), 1),
+    **dict.fromkeys(("cx", "cz", "swap", "rzz"), 2),
+}
+
+PARAM_COUNT: dict[str, int] = {
+    **dict.fromkeys(GATE_ARITY, 0), "rx": 1, "ry": 1, "rz": 1, "rzz": 1, "u3": 3,
+}
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,25 @@ class TestMseNoisy:
         assert code == 0
         assert "kolkata" in capsys.readouterr().out
 
+    def test_device_too_small_fails_before_any_landscape(self, monkeypatch):
+        import repro.qaoa.landscape as landscape
+
+        def no_landscape(*args, **kwargs):
+            raise AssertionError("a landscape was computed")
+
+        monkeypatch.setattr(landscape, "compute_landscape", no_landscape)
+        monkeypatch.setattr(landscape, "compute_noisy_landscape", no_landscape)
+        with pytest.raises(SystemExit) as exc:
+            main(["mse-noisy", "--device", "melbourne", "-n", "16"])
+        message = str(exc.value.code)
+        assert message == "error: a 16-node graph needs 16 qubits but device 'melbourne' has 14"
+
+    def test_unknown_device_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mse-noisy", "--device", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
 
 class TestMseIdeal:
     def test_aids(self, capsys):

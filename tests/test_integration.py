@@ -5,11 +5,22 @@ QAOA optimization, landscapes under device noise models, transpiled circuits
 through the noisy simulators, and the public package namespace.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
 
 import repro
+from _gate_oracles import (
+    DensityMatrixSimulator,
+    StatevectorSimulator,
+    device_noise_model,
+    routed_cut_diagonal,
+)
 from repro.core import GraphReducer, RedQAOA
 from repro.datasets import load_dataset
 from repro.pooling import get_pooler
@@ -21,8 +32,7 @@ from repro.qaoa import (
 )
 from repro.qaoa.fast_sim import FastNoiseSpec
 from repro.qaoa.landscape import compute_noisy_landscape
-from repro.quantum import DensityMatrixSimulator, TrajectorySimulator, get_backend, transpile
-from repro.qaoa.hamiltonian import MaxCutHamiltonian
+from repro.quantum import get_backend, transpile
 from repro.utils.graphs import relabel_to_range
 
 
@@ -42,6 +52,25 @@ class TestPublicNamespace:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    def test_import_loads_no_gate_level_simulator(self):
+        """The gate-level stack lives in tests/_gate_oracles.py, not src/."""
+        code = "import sys, repro; print(' '.join(sorted(sys.modules)))"
+        src = str(Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        gone = ("statevector", "density_matrix", "trajectories", "_kernels",
+                "executor", "visualization", "noise", "gates")
+        assert "repro.quantum" in out
+        assert not [m for m in out if m in {f"repro.quantum.{g}" for g in gone}]
+
+    def test_quantum_exports_no_simulator(self):
+        import repro.quantum
+
+        assert not [n for n in repro.quantum.__all__ if "Simulator" in n or "Noise" in n]
+        assert "NoiseModel" not in repro.__all__
 
 
 class TestReductionPreservesLandscape:
@@ -126,52 +155,38 @@ class TestNoisyLandscapeRecovery:
 
 class TestTranspiledNoisySimulation:
     def test_qaoa_through_device_stack(self):
-        """Build QAOA -> transpile to kolkata -> run with device noise."""
-        g = _connected_er(5, 0.5, 9)
-        ham = MaxCutHamiltonian(g)
-        gammas, betas = [0.7], [0.4]
-        circuit = build_qaoa_circuit(relabel_to_range(g), gammas, betas)
+        """Build QAOA -> transpile to kolkata -> simulate the routed circuit:
+        after undoing the routing permutation it reproduces the ideal
+        expectation, weighted edges included."""
+        weighted = nx.Graph()
+        weighted.add_edge(0, 1, weight=2.0)
+        weighted.add_edge(1, 2, weight=0.5)
         backend = get_backend("kolkata")
-        result = transpile(circuit, backend, trials=4, seed=0)
-        assert result.circuit.num_qubits >= 5
-
-        # Noiseless transpiled circuit must reproduce the ideal expectation
-        # after undoing the routing permutation.
-        traj = TrajectorySimulator(trajectories=6)
-        probs = traj.probabilities(result.circuit, noise_model=None)
-        n_t = result.circuit.num_qubits
-        diag = np.zeros(2**n_t)
-        z = np.arange(2**n_t, dtype=np.uint64)
-        for u, v in ham.edges:
-            pu, pv = result.final_layout[u], result.final_layout[v]
-            diag += ((z >> np.uint64(pu)) ^ (z >> np.uint64(pv))) & np.uint64(1)
-        ideal = maxcut_expectation(g, gammas, betas)
-        assert probs @ diag == pytest.approx(ideal, abs=1e-8)
+        for g, gammas, betas in (
+            (_connected_er(5, 0.5, 9), [0.7], [0.4]),
+            (weighted, [0.6], [0.3]),
+        ):
+            logical = relabel_to_range(g)
+            circuit = build_qaoa_circuit(logical, gammas, betas)
+            result = transpile(circuit, backend, trials=4, seed=0)
+            assert result.circuit.num_qubits >= g.number_of_nodes()
+            routed = StatevectorSimulator().expectation_diagonal(
+                result.circuit, routed_cut_diagonal(result, logical)
+            )
+            assert routed == pytest.approx(maxcut_expectation(g, gammas, betas), abs=1e-8)
 
     def test_device_noise_damps_transpiled_expectation(self):
         g = nx.cycle_graph(4)
         gammas, betas = [1.1], [0.39]  # near-optimal for C4
-        circuit = build_qaoa_circuit(g, gammas, betas)
-        backend = get_backend("melbourne")
-        result = transpile(circuit, backend, trials=4, seed=1)
-        n_t = result.circuit.num_qubits
-        diag = np.zeros(2**n_t)
-        z = np.arange(2**n_t, dtype=np.uint64)
-        for u, v in nx.cycle_graph(4).edges():
-            pu, pv = result.final_layout[u], result.final_layout[v]
-            diag += ((z >> np.uint64(pu)) ^ (z >> np.uint64(pv))) & np.uint64(1)
         ideal = maxcut_expectation(g, gammas, betas)
-        if n_t <= 10:
-            dm = DensityMatrixSimulator(max_qubits=n_t)
+        for device in ("melbourne", "toronto"):
+            backend = get_backend(device)
+            result = transpile(build_qaoa_circuit(g, gammas, betas), backend, trials=4, seed=1)
+            dm = DensityMatrixSimulator(max_qubits=result.circuit.num_qubits)
             noisy = dm.expectation_diagonal(
-                result.circuit, diag, backend.build_noise_model()
+                result.circuit, routed_cut_diagonal(result, g), device_noise_model(backend)
             )
-        else:
-            traj = TrajectorySimulator(trajectories=20)
-            noisy = traj.expectation_diagonal(
-                result.circuit, diag, backend.build_noise_model(), seed=0
-            )
-        assert noisy < ideal
+            assert noisy < ideal, device
 
 
 class TestPoolingComparison:

@@ -4,7 +4,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from _gate_oracles import NoiseModel
 from repro.mitigation import (
+    ReadoutError,
     ReadoutMitigator,
     richardson_extrapolate,
     scale_noise,
@@ -12,7 +14,6 @@ from repro.mitigation import (
 )
 from repro.qaoa.expectation import maxcut_expectation, noisy_maxcut_expectation
 from repro.qaoa.fast_sim import FastNoiseSpec
-from repro.quantum.noise import NoiseModel, ReadoutError
 from repro.utils.graphs import relabel_to_range
 
 
@@ -148,7 +149,7 @@ class TestReadoutMitigator:
     def test_from_noise_model(self):
         model = NoiseModel()
         model.add_readout_error(ReadoutError(0.05, 0.05), 0)
-        mitigator = ReadoutMitigator.from_noise_model(model, 2)
+        mitigator = ReadoutMitigator([model.readout_error(q) for q in range(2)])
         true = np.array([0.7, 0.1, 0.15, 0.05])
         observed = model.apply_readout_to_probs(true, 2)
         assert np.allclose(mitigator.apply(observed), true, atol=1e-10)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gate_oracles import DensityMatrixSimulator, TrajectorySimulator, device_noise_model
 from repro.core.reduction import GraphReducer
 from repro.datasets import aids_like_graph, imdb_like_graph, linux_like_graph
 from repro.qaoa.fast_sim import FastNoiseSpec, noisy_qaoa_probabilities
@@ -18,8 +19,6 @@ from repro.qaoa.hamiltonian import MaxCutHamiltonian
 from repro.qaoa.landscape import landscape_mse, normalize_landscape
 from repro.quantum.backends import get_backend
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density_matrix import DensityMatrixSimulator
-from repro.quantum.trajectories import TrajectorySimulator
 
 
 def _connected_er(n, p, seed):
@@ -116,7 +115,7 @@ class TestSimulatorConsistencyOnBackendModels:
     @pytest.mark.parametrize("device", ["kolkata", "melbourne"])
     def test_dm_vs_trajectories(self, device):
         backend = get_backend(device)
-        model = backend.build_noise_model()
+        model = device_noise_model(backend)
         qc = QuantumCircuit(3)
         qc.h(0)
         qc.cx(0, 1)

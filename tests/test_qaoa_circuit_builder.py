@@ -4,10 +4,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from _gate_oracles import StatevectorSimulator
 from repro.qaoa.circuit_builder import build_qaoa_circuit
 from repro.qaoa.fast_sim import qaoa_statevector
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
-from repro.quantum.statevector import StatevectorSimulator
 
 
 class TestStructure:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gate_oracles import StatevectorSimulator
 from repro.qaoa.circuit_builder import build_qaoa_circuit
 from repro.qaoa.fast_sim import (
     FastNoiseSpec,
@@ -17,7 +18,6 @@ from repro.qaoa.fast_sim import (
     qaoa_statevector,
 )
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
-from repro.quantum.statevector import StatevectorSimulator
 
 
 def _connected_er(n, p, seed):
@@ -175,6 +175,14 @@ class TestFastNoiseSpec:
         spec = FastNoiseSpec.from_backend(get_backend("kolkata"))
         assert 0 < spec.edge_error < 0.1
         assert spec.readout_error == get_backend("kolkata").error_readout
+
+    def test_for_graph_refuses_a_graph_wider_than_the_device(self):
+        from repro.quantum.backends import get_backend
+
+        melbourne = get_backend("melbourne")  # 14 qubits
+        FastNoiseSpec.for_graph(melbourne, nx.cycle_graph(14))
+        with pytest.raises(ValueError, match="16 qubits but device 'melbourne' has 14"):
+            FastNoiseSpec.for_graph(melbourne, nx.cycle_graph(16))
 
 
 class TestNoisyEngine:

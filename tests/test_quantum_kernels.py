@@ -1,12 +1,11 @@
-"""Tests for the low-level tensor kernels in repro.quantum._kernels."""
+"""Tests for the tensor kernels of the gate-level reference simulators."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quantum._kernels import apply_matrix, apply_matrix_rho
-from repro.quantum.gates import gate_matrix
+from _gate_oracles import apply_matrix, apply_matrix_rho, gate_matrix
 
 
 def _random_state(n, seed):

@@ -1,21 +1,21 @@
-"""Tests for repro.quantum.noise."""
+"""Tests for the Kraus channels and noise model of the gate-level references."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.quantum.circuit import Instruction
-from repro.quantum.noise import (
+from _gate_oracles import (
     NoiseModel,
     QuantumError,
-    ReadoutError,
     amplitude_damping_error,
     depolarizing_error,
     pauli_error,
     phase_damping_error,
     thermal_relaxation_error,
 )
+from repro.mitigation import ReadoutError
+from repro.quantum.circuit import Instruction
 
 
 class TestPauliError:

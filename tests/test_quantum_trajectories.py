@@ -1,13 +1,18 @@
-"""Tests for repro.quantum.trajectories."""
+"""Tests for the Pauli-trajectory reference simulator."""
 
 import numpy as np
 import pytest
 
+from _gate_oracles import (
+    DensityMatrixSimulator,
+    NoiseModel,
+    StatevectorSimulator,
+    TrajectorySimulator,
+    depolarizing_error,
+    pauli_error,
+)
+from repro.mitigation import ReadoutError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density_matrix import DensityMatrixSimulator
-from repro.quantum.noise import NoiseModel, ReadoutError, depolarizing_error, pauli_error
-from repro.quantum.statevector import StatevectorSimulator
-from repro.quantum.trajectories import TrajectorySimulator
 
 
 class TestNoiselessPath:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from _gate_oracles import StatevectorSimulator
 from repro.quantum.backends import get_backend
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.coupling import line_map, ring_map
-from repro.quantum.statevector import StatevectorSimulator
 from repro.quantum.transpiler import decompose_to_basis, route_sabre, transpile
 
 IBM_BASIS = ("rz", "sx", "x", "cx")
@@ -165,6 +165,10 @@ class TestTranspile:
     def test_requires_target(self):
         with pytest.raises(ValueError):
             transpile(QuantumCircuit(2))
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError):
+            transpile(QuantumCircuit(2), get_backend("kolkata"), trials=0)
 
     def test_coupling_map_only(self):
         qc = _random_circuit(3, 5, 8)
