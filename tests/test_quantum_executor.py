@@ -1,14 +1,21 @@
-"""Tests for repro.quantum.executor (the gate-level device pipeline)."""
+"""Tests for the gate-level device pipeline: route a circuit onto a backend
+with :func:`repro.quantum.transpile`, then simulate the routed circuit with
+the reference simulators, ideal or under the backend's noise model."""
 
 import networkx as nx
-import numpy as np
 import pytest
 
+from _gate_oracles import (
+    DensityMatrixSimulator,
+    StatevectorSimulator,
+    device_noise_model,
+    routed_cut_diagonal,
+)
+from repro.qaoa.circuit_builder import build_qaoa_circuit
 from repro.qaoa.expectation import maxcut_expectation
-from repro.qaoa.maxcut import cut_size
 from repro.quantum.backends import get_backend
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.executor import DeviceExecutor
+from repro.quantum.transpiler import transpile
 
 
 def _connected_er(n, p, seed):
@@ -20,44 +27,35 @@ def _connected_er(n, p, seed):
         offset += 100
 
 
+def _routed_expectation(device, graph, gammas, betas, noisy):
+    """Expected cut of ``graph``'s QAOA circuit routed onto ``device``."""
+    backend = get_backend(device)
+    result = transpile(build_qaoa_circuit(graph, gammas, betas), backend, trials=8, seed=0)
+    diagonal = routed_cut_diagonal(result, graph)
+    if not noisy:
+        return StatevectorSimulator().expectation_diagonal(result.circuit, diagonal)
+    dm = DensityMatrixSimulator(max_qubits=result.circuit.num_qubits)
+    return dm.expectation_diagonal(result.circuit, diagonal, device_noise_model(backend))
+
+
 class TestRun:
     def test_probabilities_normalized(self):
-        executor = DeviceExecutor(get_backend("guadalupe"), seed=0)
+        backend = get_backend("guadalupe")
         qc = QuantumCircuit(3)
         qc.h(0)
         qc.cx(0, 1)
         qc.cx(1, 2)
-        result = executor.run(qc)
-        assert result.probabilities.sum() == pytest.approx(1.0)
+        result = transpile(qc, backend, trials=8, seed=0)
+        dm = DensityMatrixSimulator(max_qubits=result.circuit.num_qubits)
+        probs = dm.probabilities(result.circuit, device_noise_model(backend))
+        assert probs.sum() == pytest.approx(1.0)
         assert result.depth > 0
-
-    def test_simulator_selection_small(self):
-        executor = DeviceExecutor(get_backend("guadalupe"), seed=0)
-        qc = QuantumCircuit(3)
-        qc.h(0)
-        result = executor.run(qc)
-        assert result.simulator == "density_matrix"
-
-    def test_simulator_selection_large(self):
-        executor = DeviceExecutor(get_backend("kolkata"), trajectories=2, seed=0)
-        qc = QuantumCircuit(12)
-        for q in range(12):
-            qc.h(q)
-        for q in range(11):
-            qc.cx(q, q + 1)
-        result = executor.run(qc)
-        assert result.simulator == "trajectories"
-
-    def test_trial_validation(self):
-        with pytest.raises(ValueError):
-            DeviceExecutor(get_backend("kolkata"), transpile_trials=0)
 
 
 class TestMaxCutExpectation:
     def test_ideal_executor_matches_reference(self):
         graph = _connected_er(5, 0.6, 0)
-        executor = DeviceExecutor(get_backend("kolkata"), noisy=False, seed=0)
-        value = executor.maxcut_expectation(graph, [0.8], [0.4])
+        value = _routed_expectation("kolkata", graph, [0.8], [0.4], noisy=False)
         reference = maxcut_expectation(graph, [0.8], [0.4])
         assert value == pytest.approx(reference, abs=1e-8)
 
@@ -65,18 +63,17 @@ class TestMaxCutExpectation:
         graph = nx.cycle_graph(4)
         gammas, betas = [1.1], [0.39]  # near-optimal for C4
         ideal = maxcut_expectation(graph, gammas, betas)
-        executor = DeviceExecutor(get_backend("toronto"), noisy=True, seed=0)
-        noisy = executor.maxcut_expectation(graph, gammas, betas)
+        noisy = _routed_expectation("toronto", graph, gammas, betas, noisy=True)
         assert noisy < ideal
 
     def test_better_device_less_damping(self):
         graph = _connected_er(5, 0.6, 2)
         gammas, betas = [0.9], [0.5]
         ideal = maxcut_expectation(graph, gammas, betas)
-        values = {}
-        for device in ("kolkata", "melbourne"):
-            executor = DeviceExecutor(get_backend(device), noisy=True, seed=0)
-            values[device] = executor.maxcut_expectation(graph, gammas, betas)
+        values = {
+            device: _routed_expectation(device, graph, gammas, betas, noisy=True)
+            for device in ("kolkata", "melbourne")
+        }
         # Only meaningful when the point is above random guessing.
         if ideal > graph.number_of_edges() / 2:
             assert abs(values["kolkata"] - ideal) <= abs(values["melbourne"] - ideal) + 0.05
@@ -85,31 +82,6 @@ class TestMaxCutExpectation:
         graph = nx.Graph()
         graph.add_edge(0, 1, weight=2.0)
         graph.add_edge(1, 2, weight=0.5)
-        executor = DeviceExecutor(get_backend("kolkata"), noisy=False, seed=0)
-        value = executor.maxcut_expectation(graph, [0.6], [0.3])
+        value = _routed_expectation("kolkata", graph, [0.6], [0.3], noisy=False)
         reference = maxcut_expectation(graph, [0.6], [0.3])
         assert value == pytest.approx(reference, abs=1e-8)
-
-
-class TestSampleCuts:
-    def test_counts_total_and_logical_support(self):
-        graph = nx.cycle_graph(4)
-        executor = DeviceExecutor(get_backend("kolkata"), noisy=False, seed=0)
-        counts = executor.sample_cuts(graph, [1.1], [0.39], shots=300)
-        assert sum(counts.values()) == 300
-        assert all(0 <= k < 16 for k in counts)
-
-    def test_logical_mapping_consistent(self):
-        """At near-optimal parameters on C4 the dominant ideal samples cut
-        all four edges -- verify after mapping back through the layout."""
-        graph = nx.cycle_graph(4)
-        executor = DeviceExecutor(get_backend("kolkata"), noisy=False, seed=1)
-        counts = executor.sample_cuts(graph, [1.1], [0.39], shots=400)
-        best = max(counts, key=counts.get)
-        assignment = {q: (best >> q) & 1 for q in range(4)}
-        assert cut_size(graph, assignment) == 4
-
-    def test_shots_validated(self):
-        executor = DeviceExecutor(get_backend("kolkata"), seed=0)
-        with pytest.raises(ValueError):
-            executor.sample_cuts(nx.path_graph(3), [0.1], [0.1], shots=0)
