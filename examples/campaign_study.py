@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Batch-serving study: a deduplicated campaign against the result store.
+"""Batch-serving study: a deduplicated batch against the result store.
 
 Builds a duplicate-heavy manifest (the traffic pattern the service layer
 amortizes: repeated submissions, isomorphic relabelings, and config scans
 over shared instances), then runs it three ways:
 
-1. a first campaign against a fresh store -- only the unique jobs execute,
+1. a first batch against a fresh store -- only the unique jobs execute,
    duplicates and isomorphic relabelings are served by fingerprint dedup;
-2. a resumed campaign against the same store, as a restarted process would
+2. a resumed batch against the same store, as a restarted process would
    see it -- zero jobs recompute, everything is a store hit, and per-job
    results are bit-identical to the first pass;
 3. the same unique work as independent ``RedQAOA.run`` calls, for the
@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from repro.datasets import suite_manifest
-from repro.service import Campaign, manifest_specs, run_job
+from repro.service import BatchScheduler, ResultStore, manifest_specs, run_job
 
 
 def build_manifest(args) -> dict:
@@ -55,39 +55,41 @@ def main() -> None:
     args = parser.parse_args()
 
     manifest = build_manifest(args)
+    specs = manifest_specs(manifest)
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "results.jsonl"
 
-        print("=== first campaign (fresh store) ===")
+        print("=== first batch (fresh store) ===")
         start = time.perf_counter()
-        report = Campaign.from_manifest(manifest, store_path=store_path).run()
+        batch = BatchScheduler(store=ResultStore(store_path)).run(specs)
         first_seconds = time.perf_counter() - start
-        batch = report.batch
         print(f"jobs={batch.num_jobs} unique={batch.num_unique} "
               f"deduped={batch.deduped} computed={batch.computed} "
               f"shared reductions={batch.reduction_reuses}")
-        for label, agg in sorted(report.aggregates.items()):
+        for label, agg in sorted(batch.aggregates.items()):
             print(f"  {label:<24} count={agg['count']} "
                   f"expectation={agg['mean_expectation']:.4f}")
 
-        print("\n=== resumed campaign (same store, fresh process state) ===")
-        resumed = Campaign.from_manifest(manifest, store_path=store_path).run()
-        print(f"computed={resumed.batch.computed} "
-              f"store_hits={resumed.batch.store_hits} "
-              f"(of {resumed.batch.num_unique} unique)")
+        print("\n=== resumed batch (same store, fresh process state) ===")
+        resumed = BatchScheduler(store=ResultStore(store_path)).run(specs)
+        print(f"computed={resumed.computed} "
+              f"store_hits={resumed.store_hits} "
+              f"(of {resumed.num_unique} unique)")
         identical = all(
             (a.result.gammas, a.result.expectation, a.result.best_value)
             == (b.result.gammas, b.result.expectation, b.result.best_value)
-            for a, b in zip(report.batch.results, resumed.batch.results)
+            for a, b in zip(batch.results, resumed.results)
         )
         print(f"per-job results bit-identical to the first pass: {identical}")
+        if resumed.computed or not identical:
+            raise SystemExit("the resumed batch broke the resume contract")
 
         print("\n=== N independent RedQAOA.run calls (no sharing) ===")
         start = time.perf_counter()
-        for spec in manifest_specs(manifest):
+        for spec in specs:
             run_job(spec)
         sequential_seconds = time.perf_counter() - start
-        print(f"sequential {sequential_seconds:.2f} s vs campaign "
+        print(f"sequential {sequential_seconds:.2f} s vs batch "
               f"{first_seconds:.2f} s "
               f"({sequential_seconds / max(first_seconds, 1e-9):.2f}x)")
 

@@ -48,7 +48,7 @@ def main() -> None:
     for label, target in (("original", graph), ("distilled", reduced)):
         circuit = build_qaoa_circuit(target, params, params)
         routed = transpile(circuit, backend, trials=args.trials, seed=args.seed)
-        noise = FastNoiseSpec.for_graph(backend, target, p=args.p)
+        noise = FastNoiseSpec.for_graph(backend, target)
         bias = float(np.sqrt(np.mean(np.square(noise.edge_phase_bias))))
         print(f"{label:>9} {target.number_of_nodes():>5} {target.number_of_edges():>5} "
               f"{routed.depth:>5} {routed.swap_count:>5} "

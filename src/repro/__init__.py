@@ -40,8 +40,8 @@ Subpackages
     Metrics, runtime, and throughput models used by the evaluation.
 ``repro.service``
     Batch serving: :class:`JobSpec` fingerprints, the persistent
-    :class:`ResultStore`, the deduplicating :class:`BatchScheduler`, and
-    manifest-driven :class:`Campaign` runs (``red-qaoa batch``).
+    :class:`ResultStore`, YAML/JSON job manifests, and the deduplicating
+    :class:`BatchScheduler` that runs them (``red-qaoa batch``).
 ``repro.serve``
     The long-running job daemon: a fingerprint-sharded queue with
     backpressure and dead letters, a deterministic worker pool (N workers
@@ -74,11 +74,10 @@ from repro.qaoa import (
     noisy_maxcut_expectation,
 )
 from repro.quantum import FakeBackend, QuantumCircuit, get_backend
-from repro.service import BatchScheduler, Campaign, JobSpec, ResultStore
+from repro.service import BatchScheduler, JobSpec, ResultStore
 
 __all__ = [
     "BatchScheduler",
-    "Campaign",
     "DiagonalProblem",
     "JobSpec",
     "ResultStore",

@@ -749,7 +749,8 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import Campaign, JobFailedError
+    from repro.core.cache import ReductionCache
+    from repro.service import BatchScheduler, JobFailedError, ResultStore, manifest_specs
 
     manifest = _manifest_from_args(args)
 
@@ -764,27 +765,27 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                   f"best={best}")
 
     try:
-        campaign = Campaign.from_manifest(
-            manifest,
-            store_path=args.store,
-            reduction_reuse=args.reuse,
+        specs = manifest_specs(manifest)
+        scheduler = BatchScheduler(
+            store=ResultStore(args.store) if args.store is not None else None,
+            reduction_cache=ReductionCache() if args.reuse == "cross-instance" else None,
             workers=args.workers,
             pool=args.pool,
         )
     except ValueError as exc:
-        raise SystemExit(f"error building the campaign: {exc}")
+        raise SystemExit(f"error building the batch: {exc}")
     with _tracing(args.trace):
         try:
-            report = campaign.run(on_result=progress)
+            batch = scheduler.run(specs, on_result=progress)
         except JobFailedError as exc:
             raise SystemExit(f"error: {exc}")
+    payload = batch.to_dict()
     if args.report is not None:
-        report.write(args.report)
-    payload = report.to_dict()
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, indent=2) + "\n")
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    batch = report.batch
     store_note = f" (store: {args.store})" if args.store else ""
     print(f"manifest: {batch.num_jobs} jobs, {batch.num_unique} unique, "
           f"{batch.num_instances} instances")
@@ -793,8 +794,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(f"reuse: {batch.reduction_reuses} shared reductions, "
           f"{batch.reduction_cross_hits} cross-instance, "
           f"{batch.plan_hits} plan hits")
-    for label in sorted(payload["aggregates"]):
-        agg = payload["aggregates"][label]
+    for label in sorted(batch.aggregates):
+        agg = batch.aggregates[label]
         best = agg["mean_best_value"]
         best_text = f"{best:.4f}" if best is not None else "n/a"
         print(f"  {label:<28} count={agg['count']}  "

@@ -50,6 +50,15 @@ HEALTH_OK = "ok"
 HEALTH_DEGRADED = "degraded"
 HEALTH_FAILING = "failing"
 
+# Lifetime ``dead/(dead+completed)`` and ``requeues/(requeues+completed)``
+# ratios beyond which the workload itself is flagged, evaluated only once
+# ``MIN_SAMPLES`` jobs have resolved: one early crash must not poison the
+# lifetime rate of a daemon that then runs clean for hours (the incident
+# check already covers the recent past).
+DEAD_LETTER_THRESHOLD = 0.05
+REQUEUE_THRESHOLD = 0.25
+MIN_SAMPLES = 10
+
 _SEVERITY_RANK = {HEALTH_OK: 0, HEALTH_DEGRADED: 1, HEALTH_FAILING: 2}
 _STATUS_VALUE = {HEALTH_OK: 0.0, HEALTH_DEGRADED: 1.0, HEALTH_FAILING: 2.0}
 
@@ -110,13 +119,9 @@ class HealthMonitor:
         Kill the worker holding a stuck claim so the crash path requeues
         it (bounded by the queue's normal attempt accounting).  Off by
         default: detection is always safe, intervention is a policy.
-    dead_letter_threshold / requeue_threshold:
-        Lifetime ``dead/(dead+completed)`` and
-        ``requeues/(requeues+completed)`` ratios beyond which the
-        workload itself is flagged.  Evaluated only once ``min_samples``
-        jobs have resolved -- one early crash must not poison the
-        lifetime rate of a daemon that then runs clean for hours (the
-        incident check already covers the recent past).
+
+    The lifetime-rate checks use the module's ``DEAD_LETTER_THRESHOLD``,
+    ``REQUEUE_THRESHOLD`` and ``MIN_SAMPLES``.
 
     The caller is responsible for holding whatever lock guards ``queue``
     and ``claims`` during :meth:`check` -- the daemon evaluates under its
@@ -131,9 +136,6 @@ class HealthMonitor:
         stuck_after: float = 300.0,
         incident_window: float = 60.0,
         requeue_stuck: bool = False,
-        dead_letter_threshold: float = 0.05,
-        requeue_threshold: float = 0.25,
-        min_samples: int = 10,
         log=None,
     ) -> None:
         if stuck_after <= 0:
@@ -146,9 +148,6 @@ class HealthMonitor:
         self.stuck_after = float(stuck_after)
         self.incident_window = float(incident_window)
         self.requeue_stuck = bool(requeue_stuck)
-        self.dead_letter_threshold = float(dead_letter_threshold)
-        self.requeue_threshold = float(requeue_threshold)
-        self.min_samples = int(min_samples)
         self.log = log
         self._last_counts = {"crashes": 0, "requeues": 0, "dead": 0}
         self._incidents: deque = deque(maxlen=256)  # (monotonic, kind, amount)
@@ -262,27 +261,27 @@ class HealthMonitor:
         completed = len(self.queue.completed)
         checks.setdefault("dead_letters", HEALTH_OK)
         dead = len(self.queue.dead)
-        if dead and dead + completed >= self.min_samples:
+        if dead and dead + completed >= MIN_SAMPLES:
             rate = dead / (dead + completed)
-            if rate >= self.dead_letter_threshold:
+            if rate >= DEAD_LETTER_THRESHOLD:
                 flag(
                     "dead_letters",
                     HEALTH_DEGRADED,
                     f"{dead} dead letters = {rate:.1%} of resolved jobs "
-                    f"(threshold {self.dead_letter_threshold:.0%})",
+                    f"(threshold {DEAD_LETTER_THRESHOLD:.0%})",
                     dead=dead,
                     rate=round(rate, 4),
                 )
         checks.setdefault("requeue_rate", HEALTH_OK)
         requeues = getattr(self.queue, "requeues", 0)
-        if requeues and requeues + completed >= self.min_samples:
+        if requeues and requeues + completed >= MIN_SAMPLES:
             rate = requeues / (requeues + completed)
-            if rate >= self.requeue_threshold:
+            if rate >= REQUEUE_THRESHOLD:
                 flag(
                     "requeue_rate",
                     HEALTH_DEGRADED,
                     f"{requeues} requeues = {rate:.1%} of executions "
-                    f"(threshold {self.requeue_threshold:.0%})",
+                    f"(threshold {REQUEUE_THRESHOLD:.0%})",
                     requeues=requeues,
                     rate=round(rate, 4),
                 )

@@ -298,7 +298,7 @@ class FastNoiseSpec:
         )
 
     @classmethod
-    def for_graph(cls, backend, graph, p: int = 1, coherent_scale: float = 1.0) -> "FastNoiseSpec":
+    def for_graph(cls, backend, graph) -> "FastNoiseSpec":
         """Graph-size-aware noise, modeling transpilation overhead.
 
         Routing cost grows with circuit width and with how much the graph's
@@ -333,7 +333,7 @@ class FastNoiseSpec:
         # calibrated so 7-14-node graphs under the toronto preset show the
         # ~0.02-0.1 noisy-landscape MSE range of the paper's Fig. 10, with
         # the reduced circuit distorted visibly less.
-        sigma = coherent_scale * 0.035 * overhead * quality * math.sqrt(max(m, 1) / 10.0)
+        sigma = 0.035 * overhead * quality * math.sqrt(max(m, 1) / 10.0)
         # Stable across processes (built-in hash() is salted per run).
         digest = hashlib.sha256(f"{backend.name}:{n}:{m}".encode()).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:4], "big"))

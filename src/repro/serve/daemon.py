@@ -62,6 +62,7 @@ from repro.serve.queue import (
     ShardedJobQueue,
 )
 from repro.serve.workers import make_pool, pump
+from repro.service.campaign import manifest_specs
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.store import ResultStore
 
@@ -176,10 +177,6 @@ class ServeDaemon:
         so a retrying client never has to reason about half-admitted
         manifests.
         """
-        # Imported here: campaign imports the scheduler, which imports the
-        # serve package -- a module-level import would close that cycle.
-        from repro.service.campaign import manifest_specs
-
         try:
             specs = manifest_specs(manifest)
         except (ValueError, TypeError) as exc:

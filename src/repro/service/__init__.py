@@ -1,4 +1,4 @@
-"""Batch serving: deterministic campaigns with a persistent result store.
+"""Batch serving: deterministic batches with a persistent result store.
 
 The amortization layer the paper's economics call for: one cheap
 reduced-graph landscape should serve many expensive evaluations, and one
@@ -15,16 +15,18 @@ plans, and previously computed results.  The pieces:
     :class:`ResultStore` -- append-only, fsync'd, schema-versioned JSONL
     keyed by fingerprint; repeated jobs are free across process restarts.
 ``scheduler``
-    :class:`BatchScheduler` -- dedups exact/isomorphic duplicates, shares
-    reductions per instance and compiled plans per structure, orders
-    execution by a cost model, and streams bit-identical per-job results
-    regardless of grouping.
+    :class:`BatchScheduler` -- the one batch entry point: dedups
+    exact/isomorphic duplicates, shares reductions per instance (and,
+    given a reduction bank, across similar instances) and compiled plans
+    per structure, orders execution by a cost model, streams bit-identical
+    per-job results regardless of grouping, and reports per-label
+    aggregates.
 ``campaign``
-    :class:`Campaign` -- YAML/JSON manifests (or generated dataset
-    suites) run end-to-end with an aggregate report.
+    :func:`load_manifest` / :func:`manifest_specs` -- YAML/JSON manifests
+    (or generated dataset suites) expanded into job specs.
 """
 
-from repro.service.campaign import Campaign, CampaignReport, load_manifest, manifest_specs
+from repro.service.campaign import load_manifest, manifest_specs
 from repro.service.jobs import (
     JobResult,
     JobSpec,
@@ -38,8 +40,6 @@ from repro.service.store import ResultStore
 __all__ = [
     "BatchReport",
     "BatchScheduler",
-    "Campaign",
-    "CampaignReport",
     "JobFailedError",
     "JobResult",
     "JobSpec",

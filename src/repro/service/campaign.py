@@ -1,4 +1,4 @@
-"""Campaigns: manifest-driven batch runs with aggregate reporting.
+"""Job manifests: YAML/JSON batch descriptions expanded into job specs.
 
 A *manifest* is a plain mapping (YAML or JSON on disk) describing a batch
 of jobs:
@@ -28,28 +28,19 @@ the generator and the job, so one integer pins the whole job.
 :func:`repro.datasets.suite_manifest` builds such a mapping for a whole
 generated dataset suite.
 
-:class:`Campaign` runs a manifest through the
-:class:`~repro.service.scheduler.BatchScheduler` against an optional
-persistent store and aggregates the outcome per label/kind; re-running a
-finished campaign against the same store recomputes nothing.
+:class:`~repro.service.scheduler.BatchScheduler` runs the expanded specs
+(``red-qaoa batch`` does both steps); the ``red-qaoa serve`` daemon admits
+a manifest through :func:`manifest_specs` as well.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.service.jobs import JobSpec, check_seed
-from repro.service.scheduler import BatchReport, BatchScheduler
-from repro.service.store import ResultStore
 
-__all__ = [
-    "Campaign",
-    "CampaignReport",
-    "load_manifest",
-    "manifest_specs",
-]
+__all__ = ["load_manifest", "manifest_specs"]
 
 MANIFEST_SCHEMA = 1
 
@@ -161,107 +152,3 @@ def _entry_spec(entry: dict) -> JobSpec:
         qubo_density=float(generator.get("qubo_density", 0.5)),
     )
     return JobSpec(problem=problem, **config)
-
-
-@dataclass
-class CampaignReport:
-    """A batch report plus per-label aggregates, JSON-serializable.
-
-    ``store`` (when a persistent store backed the run) summarizes the
-    store's accesses -- fed from the same counters the metrics registry
-    tracks (``redqaoa_store_hits_total`` / ``redqaoa_store_misses_total``).
-    """
-
-    batch: BatchReport
-    aggregates: dict
-    store: dict | None = None
-
-    def to_dict(self) -> dict:
-        report = self.batch.to_dict()
-        report["aggregates"] = self.aggregates
-        if self.store is not None:
-            report["store"] = self.store
-        return report
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-
-class Campaign:
-    """A batch of job specs bound to an optional persistent store.
-
-    ``store_path`` opens (or creates) a
-    :class:`~repro.service.store.ResultStore`; omit it for a purely
-    in-memory run.  ``reduction_reuse``, ``workers``, and ``pool`` are
-    forwarded to the scheduler (``workers=N`` executes on N processes of
-    the :mod:`repro.serve` worker pool, bit-identical to 1).
-    """
-
-    def __init__(
-        self,
-        specs,
-        store_path: str | Path | None = None,
-        reduction_reuse: str = "exact",
-        workers: int = 1,
-        pool: str | None = None,
-    ) -> None:
-        self.specs = list(specs)
-        if not self.specs:
-            raise ValueError("campaign has no jobs")
-        self.store = ResultStore(store_path) if store_path is not None else None
-        self.scheduler = BatchScheduler(
-            store=self.store,
-            reduction_reuse=reduction_reuse,
-            workers=workers,
-            pool=pool,
-        )
-
-    @classmethod
-    def from_manifest(
-        cls,
-        manifest: dict,
-        store_path: str | Path | None = None,
-        reduction_reuse: str = "exact",
-        workers: int = 1,
-        pool: str | None = None,
-    ) -> "Campaign":
-        return cls(
-            manifest_specs(manifest),
-            store_path=store_path,
-            reduction_reuse=reduction_reuse,
-            workers=workers,
-            pool=pool,
-        )
-
-    def run(self, on_result=None) -> CampaignReport:
-        """Execute the campaign and aggregate per-label statistics."""
-        batch = self.scheduler.run(self.specs, on_result=on_result)
-        groups: dict[str, list] = {}
-        for view in batch.results:
-            groups.setdefault(view.label or view.kind, []).append(view)
-        aggregates = {}
-        for label in sorted(groups):
-            views = groups[label]
-            expectations = [v.result.expectation for v in views]
-            best_values = [
-                v.result.best_value
-                for v in views
-                if v.result.best_value == v.result.best_value  # drop NaN
-            ]
-            aggregates[label] = {
-                "count": len(views),
-                "mean_expectation": sum(expectations) / len(expectations),
-                "mean_best_value": (
-                    sum(best_values) / len(best_values) if best_values else None
-                ),
-            }
-        store = None
-        if self.store is not None:
-            store = {
-                "path": str(self.store.path),
-                "results": len(self.store),
-                "hits": self.store.hits,
-                "misses": self.store.misses,
-                "dead_letters": len(self.store.dead_letters()),
-            }
-        return CampaignReport(batch=batch, aggregates=aggregates, store=store)

@@ -32,15 +32,19 @@ Every form of sharing above is *result-neutral*: per-job results are a
 pure function of the job fingerprint, so batched execution, N sequential
 :func:`~repro.service.jobs.run_job` calls, and a store-resumed pass are
 bit-identical per job -- regardless of grouping or execution order.  The
-one exception is opt-in: ``reduction_reuse="cross-instance"`` additionally
-serves *similar* (not identical) instances from an AND-bucketed
-:class:`~repro.core.cache.ReductionCache` bank, the paper's Sec. 6.1
-cross-instance transfer.  That trades bit-identity (the surrogate landscape
+one exception is opt-in: passing a :class:`~repro.core.cache.ReductionCache`
+bank as ``reduction_cache`` additionally serves *similar* (not identical)
+instances from it by AND bucket, the paper's Sec. 6.1 cross-instance
+transfer.  That trades bit-identity (the surrogate landscape
 is close, not equal) for skipping the annealing search; it stays
 deterministic for a fixed manifest *set* because reductions are processed
 in sorted instance-fingerprint order.  The bank only banks: a miss reduces
 through the job's pipeline as in exact mode, then banks the result.  Jobs
 served from the bank never reach the store, which holds exact results only.
+
+The :class:`BatchReport` also aggregates the outcome per label (or kind)
+and, when a store backed the run, summarizes its accesses -- the JSON
+report ``red-qaoa batch --json`` / ``--report`` emits.
 """
 
 from __future__ import annotations
@@ -102,7 +106,13 @@ class JobView:
 
 @dataclass
 class BatchReport:
-    """Counters plus per-job views for one :meth:`BatchScheduler.run`."""
+    """Counters, per-job views and per-label aggregates for one batch.
+
+    ``store`` (when a persistent store backed the run) summarizes the
+    store object's accesses over its lifetime, not only this batch's --
+    fed from the same counters the metrics registry tracks
+    (``redqaoa_store_hits_total`` / ``redqaoa_store_misses_total``).
+    """
 
     num_jobs: int
     num_unique: int
@@ -116,6 +126,8 @@ class BatchReport:
     seconds: float
     store_misses: int = 0
     results: list[JobView] = field(default_factory=list)
+    aggregates: dict = field(default_factory=dict)
+    store: dict | None = None
 
     @property
     def deduped(self) -> int:
@@ -123,7 +135,7 @@ class BatchReport:
         return self.num_jobs - self.num_unique
 
     def to_dict(self) -> dict:
-        return {
+        report = {
             "jobs": self.num_jobs,
             "unique_jobs": self.num_unique,
             "instances": self.num_instances,
@@ -137,7 +149,11 @@ class BatchReport:
             "plan_misses": self.plan_misses,
             "seconds": self.seconds,
             "per_job": [view.to_dict() for view in self.results],
+            "aggregates": self.aggregates,
         }
+        if self.store is not None:
+            report["store"] = self.store
+        return report
 
 
 class BatchScheduler:
@@ -152,15 +168,13 @@ class BatchScheduler:
         not written: its result is not its fingerprint's exact answer.
     plan_cache:
         Shared compiled-plan bank; a private one is created when omitted.
-    reduction_reuse:
-        ``"exact"`` (default) shares reductions only between jobs whose
-        instance fingerprints match -- bit-identity preserved.
-        ``"cross-instance"`` additionally consults ``reduction_cache``
-        (AND-bucket matching, graph jobs only) for *similar* instances --
-        approximate but deterministic for a fixed manifest set.
     reduction_cache:
-        The bank for cross-instance mode; created on demand with the
-        default 0.7 ``threshold``, which defines bank-hit acceptance.  One
+        ``None`` (default) shares reductions only between jobs whose
+        instance fingerprints match -- bit-identity preserved.  A
+        :class:`~repro.core.cache.ReductionCache` turns on cross-instance
+        reuse: it is consulted (AND-bucket matching, graph jobs only) for
+        *similar* instances -- approximate but deterministic for a fixed
+        manifest set.  Its ``threshold`` defines bank-hit acceptance.  One
         lookup per graph instance reduced in phase 1: its ``hits`` grow
         by the report's ``reduction_cross_hits``.
     workers / pool:
@@ -177,23 +191,14 @@ class BatchScheduler:
         self,
         store: ResultStore | None = None,
         plan_cache: PlanCache | None = None,
-        reduction_reuse: str = "exact",
         reduction_cache: ReductionCache | None = None,
         workers: int = 1,
         pool: str | None = None,
     ) -> None:
-        if reduction_reuse not in ("exact", "cross-instance"):
-            raise ValueError(
-                f"reduction_reuse must be 'exact' or 'cross-instance', "
-                f"got {reduction_reuse!r}"
-            )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = store
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.reduction_reuse = reduction_reuse
-        if reduction_cache is None and reduction_reuse == "cross-instance":
-            reduction_cache = ReductionCache()
         self.reduction_cache = reduction_cache
         self.workers = workers
         self.pool = pool
@@ -205,6 +210,8 @@ class BatchScheduler:
         (cost order); the returned report lists every manifest entry.
         """
         specs = list(specs)
+        if not specs:
+            raise ValueError("batch has no jobs")
         start = time.perf_counter()
         plan_hits0, plan_misses0 = self.plan_cache.hits, self.plan_cache.misses
 
@@ -241,7 +248,7 @@ class BatchScheduler:
         for instance_fp in sorted(by_instance):
             spec = unique[by_instance[instance_fp][0]]
             instance = spec.canonical().instance
-            cross = self.reduction_reuse == "cross-instance" and spec.graph is not None
+            cross = self.reduction_cache is not None and spec.graph is not None
             banked = self.reduction_cache.lookup(instance) if cross else None
             if banked is not None:
                 reduction = _reduction_from_bank(instance, banked)
@@ -332,7 +339,39 @@ class BatchScheduler:
             plan_misses=self.plan_cache.misses - plan_misses0,
             seconds=time.perf_counter() - start,
             results=views,
+            aggregates=_aggregates(views),
+            store=None if self.store is None else {
+                "path": str(self.store.path),
+                "results": len(self.store),
+                "hits": self.store.hits,
+                "misses": self.store.misses,
+                "dead_letters": len(self.store.dead_letters()),
+            },
         )
+
+
+def _aggregates(views: list[JobView]) -> dict:
+    """Per-label (else per-kind) job count and mean expectation/best value."""
+    groups: dict[str, list[JobView]] = {}
+    for view in views:
+        groups.setdefault(view.label or view.kind, []).append(view)
+    aggregates = {}
+    for label in sorted(groups):
+        group = groups[label]
+        expectations = [v.result.expectation for v in group]
+        best_values = [
+            v.result.best_value
+            for v in group
+            if v.result.best_value == v.result.best_value  # drop NaN
+        ]
+        aggregates[label] = {
+            "count": len(group),
+            "mean_expectation": sum(expectations) / len(expectations),
+            "mean_best_value": (
+                sum(best_values) / len(best_values) if best_values else None
+            ),
+        }
+    return aggregates
 
 
 def _reduction_from_bank(graph: nx.Graph, banked) -> ReductionResult:

@@ -69,7 +69,7 @@ def job_specs() -> dict[str, JobSpec]:
 def noisy_run() -> dict:
     """A noisy graph run with coherent biases, fine-tuning and noisy readout."""
     graph = _maxcut(10, seed=9)
-    noise = FastNoiseSpec.for_graph(get_backend("toronto"), graph, p=1)
+    noise = FastNoiseSpec.for_graph(get_backend("toronto"), graph)
     pipeline = RedQAOA(
         p=1, reducer=GraphReducer(seed=11), noise=noise, restarts=2, maxiter=12,
         finetune_maxiter=4, trajectories=2, seed=12,

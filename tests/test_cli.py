@@ -152,12 +152,12 @@ class TestBatch:
         assert "\n" not in message
 
     def test_unrelated_errors_are_not_swallowed(self, monkeypatch):
-        from repro.service import Campaign
+        from repro.service import BatchScheduler
 
-        def broken(self, on_result=None):
+        def broken(self, specs, on_result=None):
             raise RuntimeError("not a job failure")
 
-        monkeypatch.setattr(Campaign, "run", broken)
+        monkeypatch.setattr(BatchScheduler, "run", broken)
         with pytest.raises(RuntimeError, match="not a job failure"):
             main(["batch", "--suite", "mis", "--count", "1", "-n", "8"])
 

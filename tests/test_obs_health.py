@@ -161,8 +161,7 @@ class TestHealthMonitor:
         queue = FakeQueue()
         queue.completed = {f"f{i}": None for i in range(9)}
         queue.dead = {"poison": {}}
-        monitor = _monitor(queue=queue, incident_window=0.01,
-                           dead_letter_threshold=0.05)
+        monitor = _monitor(queue=queue, incident_window=0.01)
         monitor.check()
         time.sleep(0.05)  # let the dead-letter *incident* age out
         report = monitor.check()
@@ -174,8 +173,7 @@ class TestHealthMonitor:
         queue = FakeQueue()
         queue.completed = {f"f{i}": None for i in range(7)}
         queue.requeues = 3
-        monitor = _monitor(queue=queue, incident_window=0.01,
-                           requeue_threshold=0.25)
+        monitor = _monitor(queue=queue, incident_window=0.01)
         monitor.check()
         time.sleep(0.05)
         assert monitor.check().checks["requeue_rate"] == HEALTH_DEGRADED

@@ -277,19 +277,21 @@ class TestWiredCounters:
 
     def test_batch_report_carries_store_misses(self, tmp_path):
         from repro.datasets import random_connected_gnp
-        from repro.service.campaign import Campaign
         from repro.service.jobs import JobSpec
+        from repro.service.scheduler import BatchScheduler
+        from repro.service.store import ResultStore
 
         specs = [
             JobSpec(graph=random_connected_gnp(8, 0.4, seed=seed), restarts=1, maxiter=4)
             for seed in range(2)
         ]
-        campaign = Campaign(specs, store_path=tmp_path / "store.jsonl")
-        report = campaign.run().to_dict()
+        store = ResultStore(tmp_path / "store.jsonl")
+        report = BatchScheduler(store=store).run(specs).to_dict()
         assert report["store_misses"] == 2
         assert report["store"]["misses"] >= 2
         assert report["store"]["hits"] == 0
         # second run over the same store is all hits
-        again = Campaign(specs, store_path=tmp_path / "store.jsonl").run().to_dict()
+        store = ResultStore(tmp_path / "store.jsonl")
+        again = BatchScheduler(store=store).run(specs).to_dict()
         assert again["store_misses"] == 0
         assert again["store"]["hits"] == 2

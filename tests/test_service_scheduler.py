@@ -1,4 +1,4 @@
-"""Tests for repro.service.scheduler and campaign: dedup, reuse, resume.
+"""Tests for repro.service.scheduler and manifests: dedup, reuse, resume.
 
 The acceptance contract under test: per-job results are bit-identical
 between batched execution, N sequential :func:`run_job` calls, and a
@@ -15,10 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import ReductionCache
 from repro.datasets import suite_manifest
 from repro.service import (
     BatchScheduler,
-    Campaign,
     JobFailedError,
     JobSpec,
     ResultStore,
@@ -133,8 +133,11 @@ class TestStoreResume:
 
 class TestCrossInstanceMode:
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            BatchScheduler(reduction_reuse="sometimes")
+        # The bank is the mode: no string option is accepted, and the
+        # default scheduler has no bank (exact reuse only).
+        with pytest.raises(TypeError):
+            BatchScheduler(reduction_reuse="cross-instance")
+        assert BatchScheduler().reduction_cache is None
 
     def test_cross_instance_is_deterministic_for_a_manifest_set(self):
         # A stream of similar unweighted instances: the AND-bucket bank can
@@ -149,8 +152,8 @@ class TestCrossInstanceMode:
             return JobSpec(graph=graph, restarts=1, maxiter=8, label=f"g{seed}")
 
         specs = [build(seed) for seed in range(4)]
-        forward = BatchScheduler(reduction_reuse="cross-instance").run(specs)
-        backward = BatchScheduler(reduction_reuse="cross-instance").run(
+        forward = BatchScheduler(reduction_cache=ReductionCache()).run(specs)
+        backward = BatchScheduler(reduction_cache=ReductionCache()).run(
             list(reversed(specs))
         )
         assert forward.reduction_cross_hits == backward.reduction_cross_hits
@@ -163,7 +166,7 @@ class TestCrossInstanceMode:
         assert nx.is_connected(base)
         similar = nx.Graph(base)
         similar.add_edges_from([(10, 0), (10, 1), (10, 2), (10, 3), (10, 4)])
-        scheduler = BatchScheduler(reduction_reuse="cross-instance")
+        scheduler = BatchScheduler(reduction_cache=ReductionCache())
         report = scheduler.run([
             JobSpec(graph=base, restarts=1, maxiter=8),
             JobSpec(graph=similar, restarts=1, maxiter=8),
@@ -172,6 +175,19 @@ class TestCrossInstanceMode:
         # reduction serves it (the paper's 10-vs-11-node scenario).
         assert report.reduction_cross_hits == 1
         assert scheduler.reduction_cache.size == 1
+
+    def test_a_passed_bank_turns_on_cross_instance_reuse(self):
+        """Passing a bank is the whole switch: no second option is needed."""
+        base = nx.erdos_renyi_graph(10, 0.45, seed=2)
+        similar = nx.Graph(base)
+        similar.add_edges_from([(10, 0), (10, 1), (10, 2), (10, 3), (10, 4)])
+        bank = ReductionCache()
+        report = BatchScheduler(reduction_cache=bank).run([
+            JobSpec(graph=base, restarts=1, maxiter=8),
+            JobSpec(graph=similar, restarts=1, maxiter=8),
+        ])
+        assert report.reduction_cross_hits == 1
+        assert (bank.hits, bank.misses) == (1, 1)
 
     def test_bank_hit_results_never_reach_the_store(self, tmp_path):
         """A job optimized on another instance's banked reduction is not its
@@ -186,7 +202,7 @@ class TestCrossInstanceMode:
         ]
         path = tmp_path / "store.jsonl"
         cross = BatchScheduler(
-            store=ResultStore(path), reduction_reuse="cross-instance"
+            store=ResultStore(path), reduction_cache=ReductionCache()
         ).run(specs)
         assert cross.reduction_cross_hits == 1
         assert len(ResultStore(path)) == 1
@@ -204,7 +220,7 @@ class TestCrossInstanceMode:
         specs += manifest_specs(suite_manifest(
             "mis", count=1, num_qubits=8, seed=0, restarts=1, maxiter=6,
         ))
-        scheduler = BatchScheduler(reduction_reuse="cross-instance")
+        scheduler = BatchScheduler(reduction_cache=ReductionCache())
         report = scheduler.run(specs)
         cache = scheduler.reduction_cache
         assert report.reduction_cross_hits > 0
@@ -291,18 +307,18 @@ class TestCampaign:
             "maxcut", count=2, num_qubits=8, seed=0, restarts=1, maxiter=8,
         )
         manifest["jobs"][0]["repeat"] = 3
-        campaign = Campaign.from_manifest(manifest, store_path=tmp_path / "store.jsonl")
-        report = campaign.run()
+        scheduler = BatchScheduler(store=ResultStore(tmp_path / "store.jsonl"))
+        report = scheduler.run(manifest_specs(manifest))
         payload = report.to_dict()
         assert payload["jobs"] == 4
         assert payload["unique_jobs"] == 2
         labels = sorted(payload["aggregates"])
         assert payload["aggregates"][labels[0]]["count"] == 3
         json.dumps(payload)  # the whole report is JSON-serializable
-        # Resume through the campaign layer.
-        second = Campaign.from_manifest(
-            manifest, store_path=tmp_path / "store.jsonl"
-        ).run()
+        # Resume against the same store file.
+        second = BatchScheduler(store=ResultStore(tmp_path / "store.jsonl")).run(
+            manifest_specs(manifest)
+        )
         assert second.to_dict()["computed"] == 0
 
     def test_manifest_files_json_and_yaml(self, tmp_path):
@@ -343,8 +359,8 @@ class TestCampaign:
             spec.maxiter = 99
 
     def test_empty_campaign_is_rejected(self):
-        with pytest.raises(ValueError):
-            Campaign([])
+        with pytest.raises(ValueError, match="no jobs"):
+            BatchScheduler().run([])
 
 
 _CONFIG_KEYS = ("p", "restarts", "maxiter", "finetune_maxiter", "shots", "warm_start",
