@@ -29,6 +29,9 @@ __all__ = [
     "per_circuit_execution_time",
 ]
 
+# Kept-node fraction the cost model assumes for a distilled instance.
+KEEP_FRACTION = 0.7
+
 
 def benchmark_graph(n: int, seed: int | np.random.Generator | None = 0):
     """The connected ER instance the runtime benchmarks use for size ``n``.
@@ -76,7 +79,6 @@ def estimate_pipeline_cost(
     restarts: int = 3,
     maxiter: int = 40,
     finetune_maxiter: int = 0,
-    keep_fraction: float = 0.7,
 ) -> float:
     """Modeled relative cost of one reduce -> optimize -> transfer job.
 
@@ -85,7 +87,7 @@ def estimate_pipeline_cost(
     qubits, beyond which lightcone classes bound the per-point cost at
     ``~ p * n * 2**EXACT_LIMIT``; the optimizer spends
     ``restarts * maxiter`` points on the distilled instance (modeled at
-    ``keep_fraction * n`` qubits, the reducer's typical output) and
+    ``KEEP_FRACTION * n`` qubits, the reducer's typical output) and
     ``finetune_maxiter + 2`` on the full one (transfer evaluation plus
     readout), and the SA reduction adds an ``n log n`` term scaled to be
     negligible next to any simulation.  Units are arbitrary but
@@ -97,7 +99,7 @@ def estimate_pipeline_cost(
     def point_cost(n: int) -> float:
         return p * n * 2.0 ** min(n, EXACT_LIMIT)
 
-    reduced = max(3, math.ceil(keep_fraction * num_qubits))
+    reduced = max(3, math.ceil(KEEP_FRACTION * num_qubits))
     reduced = min(reduced, num_qubits)
     optimize = restarts * maxiter * point_cost(reduced)
     transfer = (finetune_maxiter + 2) * point_cost(num_qubits)

@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--reuse", default="exact",
                        choices=("exact", "cross-instance"),
                        help="reduction sharing: exact (bit-identical) or "
-                            "cross-instance (AND-bucket bank, approximate)")
+                            "cross-instance (AND-matched bank, approximate)")
     batch.add_argument("--workers", type=int, default=1,
                        help="worker processes for execution (results are "
                             "bit-identical for any worker count)")

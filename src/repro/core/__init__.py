@@ -2,7 +2,6 @@
 
 Modules
 -------
-``objective``    -- the AND-difference objective the annealer minimizes
 ``cooling``      -- constant and adaptive cooling schedules
 ``annealer``     -- Algorithm 1: simulated annealing over connected subgraphs
 ``reduction``    -- :class:`GraphReducer`: binary search over subgraph sizes
@@ -16,8 +15,7 @@ Modules
 from repro.core.annealer import AnnealResult, simulated_annealing
 from repro.core.cache import CachedReduction, ReductionCache
 from repro.core.cooling import AdaptiveCooling, ConstantCooling, CoolingSchedule
-from repro.core.equivalence import and_ratio, subgraph_and_mse_study
-from repro.core.objective import and_difference_objective
+from repro.core.equivalence import subgraph_and_mse_study
 from repro.core.pipeline import RedQAOA, RedQAOAResult
 from repro.core.reduction import GraphReducer, ReductionResult
 
@@ -32,8 +30,6 @@ __all__ = [
     "RedQAOA",
     "RedQAOAResult",
     "ReductionResult",
-    "and_difference_objective",
-    "and_ratio",
     "simulated_annealing",
     "subgraph_and_mse_study",
 ]

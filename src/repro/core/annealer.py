@@ -3,9 +3,11 @@
 Faithful implementation of the paper's pseudocode: start from a random
 connected ``k``-node subgraph, repeatedly propose swapping one subgraph
 node for an outside node, accept improvements always and regressions with
-Metropolis probability ``exp(-(f' - f) / T)``, and cool until ``T_f``.
-The objective is the AND difference against the original graph
-(:mod:`repro.core.objective`).
+Metropolis probability ``exp(-(f' - f) / T)``, and cool from ``T0 = 1``
+until ``Tf = 1e-3``.  The objective is the AND difference against the
+original graph, ``|AND(subgraph) - AND(G)|`` on node strengths (the
+per-call reference, ``and_difference_objective``, lives in
+``tests/_kernel_oracles.py``).
 
 :func:`simulated_annealing` keeps **incremental state**: a flat CSR
 adjacency built once per call, the subgraph strength sum, the outside set,
@@ -57,6 +59,8 @@ from repro.utils.rng import as_generator
 __all__ = ["AnnealResult", "simulated_annealing"]
 
 _MAX_SWAP_ATTEMPTS = 200  # swap trials per proposal before keeping the subgraph
+INITIAL_TEMPERATURE = 1.0  # Algorithm 1's T0
+FINAL_TEMPERATURE = 1e-3  # Algorithm 1's Tf
 
 
 @dataclass
@@ -79,8 +83,6 @@ class AnnealResult:
 def simulated_annealing(
     graph: nx.Graph,
     k: int,
-    initial_temperature: float = 1.0,
-    final_temperature: float = 1e-3,
     cooling: CoolingSchedule | str = "adaptive",
     seed: int | np.random.Generator | None = None,
     max_steps: int | None = None,
@@ -92,8 +94,8 @@ def simulated_annealing(
     preserves weighted connectivity; unit weights reproduce the paper's
     unweighted objective bit for bit.
 
-    Parameters mirror Algorithm 1: ``initial_temperature`` (T0),
-    ``final_temperature`` (Tf), and ``cooling`` -- either a
+    The temperature falls from ``INITIAL_TEMPERATURE`` (T0) to
+    ``FINAL_TEMPERATURE`` (Tf) under ``cooling`` -- either a
     :class:`~repro.core.cooling.CoolingSchedule` or one of the strings
     ``"adaptive"`` / ``"constant"`` (the paper's ``is_adaptive`` flag).
     ``max_steps`` is a safety bound on top of the temperature loop.
@@ -101,23 +103,13 @@ def simulated_annealing(
     Returns the best subgraph seen across the whole run (not merely the
     final state), which only improves on the pseudocode.
     """
-    return _anneal(
-        graph, k, initial_temperature, final_temperature, cooling, seed,
-        max_steps, _IncrementalState,
-    )
+    return _anneal(graph, k, cooling, seed, max_steps, _IncrementalState)
 
 
-def _anneal(graph, k, initial_temperature, final_temperature, cooling, seed, max_steps, state_factory):
+def _anneal(graph, k, cooling, seed, max_steps, state_factory):
     ensure_graph(graph)
     if not 1 <= k <= graph.number_of_nodes():
         raise ValueError(f"k must be in [1, {graph.number_of_nodes()}], got {k}")
-    if initial_temperature <= final_temperature:
-        raise ValueError(
-            f"initial temperature {initial_temperature} must exceed final "
-            f"temperature {final_temperature}"
-        )
-    if final_temperature <= 0:
-        raise ValueError(f"final temperature must be positive, got {final_temperature}")
     schedule = _resolve_cooling(cooling)
     schedule.reset()
     rng = as_generator(seed)
@@ -131,10 +123,10 @@ def _anneal(graph, k, initial_temperature, final_temperature, cooling, seed, max
     best_obj = current_obj
     history = [best_obj]
 
-    temperature = initial_temperature
+    temperature = INITIAL_TEMPERATURE
     steps = 0
     limit = max_steps if max_steps is not None else _default_step_limit(graph, schedule)
-    while temperature > final_temperature and steps < limit:
+    while temperature > FINAL_TEMPERATURE and steps < limit:
         neighbor_obj = state.propose(rng)
         accepted = False
         if neighbor_obj < current_obj:

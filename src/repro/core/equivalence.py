@@ -21,17 +21,7 @@ from repro.utils.graphs import (
     relabel_to_range,
 )
 
-__all__ = ["AndMseSample", "and_ratio", "fit_polynomial", "subgraph_and_mse_study"]
-
-
-def and_ratio(graph: nx.Graph, subgraph: nx.Graph) -> float:
-    """``AND(subgraph) / AND(graph)``, the x-axis of Fig. 5."""
-    ensure_graph(graph)
-    ensure_graph(subgraph)
-    original = average_node_degree(graph)
-    if original == 0.0:
-        raise ValueError("original graph has no edges")
-    return average_node_degree(subgraph) / original
+__all__ = ["AndMseSample", "fit_polynomial", "subgraph_and_mse_study"]
 
 
 @dataclass(frozen=True)
@@ -53,8 +43,15 @@ def subgraph_and_mse_study(
     """Fig. 5 protocol for one graph: enumerate non-isomorphic connected
     subgraphs, compute each one's p=1 landscape on a ``width``-wide grid,
     and record (AND ratio, MSE vs. the original landscape).
+
+    The AND ratio here is the plain, unclipped ``AND(subgraph) / AND(graph)``
+    on unweighted degrees -- Fig. 5's x-axis -- not the reducer's symmetric
+    :func:`repro.core.reduction.and_ratio`.
     """
     ensure_graph(graph)
+    original_and = average_node_degree(graph)
+    if original_and == 0.0:
+        raise ValueError("original graph has no edges")
     graph = relabel_to_range(graph)
     reference = compute_landscape(graph, width=width).values
     samples: list[AndMseSample] = []
@@ -71,7 +68,7 @@ def subgraph_and_mse_study(
                 AndMseSample(
                     num_nodes=candidate.number_of_nodes(),
                     num_edges=candidate.number_of_edges(),
-                    and_ratio=and_ratio(graph, candidate),
+                    and_ratio=average_node_degree(candidate) / original_and,
                     mse=landscape_mse(reference, values),
                 )
             )

@@ -16,7 +16,6 @@ import networkx as nx
 import numpy as np
 
 from repro.core.annealer import AnnealResult, simulated_annealing
-from repro.core.cooling import CoolingSchedule
 from repro.utils.graphs import average_node_strength, ensure_graph, relabel_to_range
 from repro.utils.rng import as_generator
 
@@ -28,6 +27,11 @@ __all__ = [
 ]
 
 DEFAULT_AND_RATIO_THRESHOLD = 0.7
+# Never reduce below this many nodes: QAOA needs at least one edge, and 3
+# keeps subgraphs non-trivial.
+MIN_NODES = 3
+# Annealing runs per candidate size before the size counts as infeasible.
+RETRIES = 2
 
 
 def and_ratio(original_and: float, reduced_and: float) -> float:
@@ -89,49 +93,30 @@ class GraphReducer:
         On weighted graphs both ANDs are strength-based (weighted degrees).
         The ratio is clipped at 1 from above symmetrically, i.e. a subgraph
         with *larger* AND than the original is scored by ``AND(G)/AND(G')``.
-    min_nodes:
-        Never reduce below this many nodes (QAOA needs at least one edge;
-        default 3 keeps subgraphs non-trivial).
     min_keep_fraction:
         Lower bound on the kept-node fraction (default 0.6, i.e. at most
         40% node reduction).  The AND ratio of tree-like graphs stays above
         threshold for arbitrarily small subtrees, so the AND check alone
         would over-reduce sparse graphs; this cap keeps reductions in the
         regime where the 0.02-MSE relationship of Sec. 4.3 was derived.
-    cooling / anneal_kwargs:
-        Forwarded to :func:`~repro.core.annealer.simulated_annealing`.
-    retries:
-        Annealing restarts per candidate size before declaring the size
-        infeasible.
+
+    Each candidate size gets up to ``RETRIES`` adaptive-cooling annealing
+    runs, and no size goes below ``MIN_NODES``.
     """
 
     def __init__(
         self,
         and_ratio_threshold: float = DEFAULT_AND_RATIO_THRESHOLD,
-        min_nodes: int = 3,
         min_keep_fraction: float = 0.6,
-        cooling: CoolingSchedule | str = "adaptive",
-        retries: int = 2,
-        initial_temperature: float = 1.0,
-        final_temperature: float = 1e-3,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         check_and_ratio_threshold(and_ratio_threshold)
-        if min_nodes < 2:
-            raise ValueError(f"min_nodes must be >= 2, got {min_nodes}")
         if not 0.0 < min_keep_fraction <= 1.0:
             raise ValueError(
                 f"min_keep_fraction must be in (0, 1], got {min_keep_fraction}"
             )
-        if retries < 1:
-            raise ValueError(f"retries must be >= 1, got {retries}")
         self.and_ratio_threshold = and_ratio_threshold
-        self.min_nodes = min_nodes
         self.min_keep_fraction = min_keep_fraction
-        self.cooling = cooling
-        self.retries = retries
-        self.initial_temperature = initial_temperature
-        self.final_temperature = final_temperature
         self._rng = as_generator(seed)
 
     # -- public API ---------------------------------------------------------
@@ -148,14 +133,14 @@ class GraphReducer:
         if graph.number_of_edges() == 0:
             raise ValueError("cannot reduce a graph with no edges")
         if target_size is not None:
-            if not self.min_nodes <= target_size <= n:
+            if not MIN_NODES <= target_size <= n:
                 raise ValueError(
-                    f"target_size must be in [{self.min_nodes}, {n}], got {target_size}"
+                    f"target_size must be in [{MIN_NODES}, {n}], got {target_size}"
                 )
             best = self._anneal_at_size(graph, target_size)
             return self._build_result(graph, best)
 
-        lo = max(self.min_nodes, int(np.ceil(self.min_keep_fraction * n)))
+        lo = max(MIN_NODES, int(np.ceil(self.min_keep_fraction * n)))
         lo = min(lo, n)
         hi = n
         feasible: AnnealResult | None = None
@@ -179,7 +164,7 @@ class GraphReducer:
             feasible = whole
         return self._build_result(graph, feasible)
 
-    def reduce_problem(self, problem, target_size: int | None = None) -> ReductionResult:
+    def reduce_problem(self, problem) -> ReductionResult:
         """Distill a :class:`~repro.problems.DiagonalProblem`.
 
         The annealer runs on the problem's coupling graph with fields
@@ -196,25 +181,18 @@ class GraphReducer:
         :meth:`reduce` does on that graph.
         """
         graph = problem.coupling_graph(include_fields=True)
-        reduction = self.reduce(graph, target_size=target_size)
+        reduction = self.reduce(graph)
         reduction.subproblem = problem.subproblem(sorted(reduction.nodes))
         return reduction
 
     # -- internals ----------------------------------------------------------
 
     def _anneal_at_size(self, graph: nx.Graph, k: int) -> AnnealResult | None:
-        """Best annealing outcome over ``retries`` runs, or None if impossible."""
+        """Best annealing outcome over ``RETRIES`` runs, or None if impossible."""
         best: AnnealResult | None = None
-        for _ in range(self.retries):
+        for _ in range(RETRIES):
             try:
-                result = simulated_annealing(
-                    graph,
-                    k,
-                    initial_temperature=self.initial_temperature,
-                    final_temperature=self.final_temperature,
-                    cooling=self.cooling,
-                    seed=self._rng,
-                )
+                result = simulated_annealing(graph, k, seed=self._rng)
             except ValueError:
                 return None  # no connected component of that size
             if best is None or result.objective < best.objective:

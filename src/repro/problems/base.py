@@ -358,10 +358,10 @@ def local_search_value(
 ) -> tuple[float, np.ndarray]:
     """Randomized 1-flip local search over spin assignments.
 
-    The generic analogue of
-    :func:`~repro.qaoa.maxcut.local_search_maxcut`: flip any variable whose
-    flip gain ``-2 s_u (h_u + sum_v J_uv s_v)`` is positive until no single
-    flip improves, over ``restarts`` random starts.  Returns the best
+    Flip any variable whose flip gain ``-2 s_u (h_u + sum_v J_uv s_v)`` is
+    positive until no single flip improves, over ``restarts`` random
+    starts; on :func:`~repro.problems.encodings.maxcut_problem` this is the
+    weighted MaxCut 1-flip search.  Returns the best
     ``(value, bits)`` found -- a strong lower bound on
     :meth:`DiagonalProblem.best_value` for instances too large for the
     dense diagonal.

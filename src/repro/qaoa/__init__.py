@@ -29,7 +29,7 @@ from repro.qaoa.landscape import (
     optimal_points,
     sample_parameter_sets,
 )
-from repro.qaoa.maxcut import approximation_ratio, brute_force_maxcut, local_search_maxcut
+from repro.qaoa.maxcut import approximation_ratio, brute_force_maxcut
 from repro.qaoa.optimizer import OptimizationTrace, cobyla_optimize, grid_search, multi_restart_optimize
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "cut_values",
     "grid_search",
     "landscape_mse",
-    "local_search_maxcut",
     "maxcut_expectation",
     "multi_restart_optimize",
     "noisy_maxcut_expectation",

@@ -178,20 +178,22 @@ def _phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return values, inverse.astype(np.intp)
 
 
+BATCH_CHUNK = 32  # parameter sets per batched statevector chunk
+
+
 def qaoa_expectation_batch(
     hamiltonian: MaxCutHamiltonian,
     gammas: np.ndarray,
     betas: np.ndarray,
-    chunk_size: int = 32,
     observable: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized expectations for many parameter sets.
 
     ``gammas`` and ``betas`` have shape ``(batch, p)``.  Batches are chunked
-    so the working set stays cache-sized (near ``chunk_size * 2**n``
-    amplitudes).  ``observable`` overrides the measured diagonal (default:
-    the cut-value diagonal); the phase layers always use the Hamiltonian's
-    own diagonal.  The lightcone plan uses this to read a marked edge's cut
+    so the working set stays cache-sized (at most ``BATCH_CHUNK`` states
+    and near ``2**19`` amplitudes).  ``observable`` overrides the measured
+    diagonal (default: the cut-value diagonal); the phase layers always use
+    the Hamiltonian's own diagonal.  The lightcone plan uses this to read a marked edge's cut
     probability from a class subgraph.
     """
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
@@ -209,7 +211,7 @@ def qaoa_expectation_batch(
         )
     table = _phase_table(diag)
     # Keep the per-chunk working set near 2**19 amplitudes (cache-resident).
-    chunk_size = max(1, min(chunk_size, 2**19 // 2**n))
+    chunk_size = max(1, min(BATCH_CHUNK, 2**19 // 2**n))
     out = np.empty(batch, dtype=float)
     for start in range(0, batch, chunk_size):
         stop = min(start + chunk_size, batch)

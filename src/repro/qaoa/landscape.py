@@ -13,7 +13,6 @@ different edge counts become comparable.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import networkx as nx
@@ -143,23 +142,18 @@ def evaluate_parameter_sets(
     graph: nx.Graph,
     gammas: np.ndarray,
     betas: np.ndarray,
-    evaluator: Callable[[nx.Graph, Sequence[float], Sequence[float]], float] | None = None,
 ) -> np.ndarray:
-    """Energy vector for many parameter sets (the p > 1 "landscape").
+    """Ideal energy vector for many parameter sets (the p > 1 "landscape").
 
-    ``evaluator`` defaults to the ideal expectation; pass a closure over
-    ``noisy_maxcut_expectation`` for noisy energy vectors.  Default
-    evaluation is fully batched: the statevector engine up to
-    ``EXACT_LIMIT`` nodes, a once-built :class:`~repro.qaoa.lightcone.LightconePlan` above.
+    Fully batched: the statevector engine up to ``EXACT_LIMIT`` nodes, a
+    once-built :class:`~repro.qaoa.lightcone.LightconePlan` above.
     """
     ensure_graph(graph)
     gammas = np.atleast_2d(gammas)
     betas = np.atleast_2d(betas)
     if gammas.shape != betas.shape:
         raise ValueError(f"shape mismatch: {gammas.shape} vs {betas.shape}")
-    if evaluator is None:
-        return _ideal_batch(graph, gammas, betas)
-    return np.array([evaluator(graph, g, b) for g, b in zip(gammas, betas)])
+    return _ideal_batch(graph, gammas, betas)
 
 
 def _ideal_batch(graph: nx.Graph, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:

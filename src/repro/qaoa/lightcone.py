@@ -443,6 +443,9 @@ class _CoreDensityClass:
 # -- plan reuse across evaluations ---------------------------------------------
 
 
+PLAN_CACHE_ENTRIES = 256
+
+
 class PlanCache:
     """Bank of compiled :class:`LightconePlan` objects keyed by exact structure.
 
@@ -453,13 +456,10 @@ class PlanCache:
     to rebuilding.  Keys embed node labels as-is, so callers should pass
     canonically relabeled (``0..n-1``) graphs; the pipeline already does.
 
-    Entries are evicted least-recently-used beyond ``max_entries``.
+    Entries are evicted least-recently-used beyond ``PLAN_CACHE_ENTRIES``.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._plans: dict[tuple, LightconePlan] = {}
         self.hits = 0
         self.misses = 0
@@ -482,7 +482,7 @@ class PlanCache:
         _PLAN_MISSES.inc()
         plan = LightconePlan.build(graph, p, max_qubits=max_qubits)
         self._plans[key] = plan
-        while len(self._plans) > self.max_entries:
+        while len(self._plans) > PLAN_CACHE_ENTRIES:
             del self._plans[next(iter(self._plans))]
         return plan
 
@@ -512,8 +512,8 @@ def weighted_edge_list(graph: nx.Graph) -> tuple:
     return tuple(sorted(edges))
 
 
-def refine_keys(graph: nx.Graph, key: dict, rounds: int = 2) -> dict:
-    """Sharpen label-independent node keys by Weisfeiler-Leman-style rounds.
+def refine_keys(graph: nx.Graph, key: dict) -> dict:
+    """Sharpen label-independent node keys by two Weisfeiler-Leman-style rounds.
 
     Each round replaces a node's key with ``(old key, sorted multiset of
     (neighbor key, edge weight))``.  Starting from any label-independent
@@ -522,7 +522,7 @@ def refine_keys(graph: nx.Graph, key: dict, rounds: int = 2) -> dict:
     Shared by the lightcone signature below and the whole-graph canonical
     form behind :class:`repro.service.JobSpec` fingerprints.
     """
-    for _ in range(rounds):
+    for _ in range(2):
         key = {
             node: (
                 key[node],

@@ -2,8 +2,10 @@
 
 The approximation ratio (paper Eq. 13) compares the QAOA expectation with
 the classically computed ground truth.  Brute force covers the paper's
-graph sizes (<= 20 nodes); a randomized local-search solver provides strong
-lower bounds beyond that.
+graph sizes (<= 20 nodes); beyond that,
+:func:`repro.problems.local_search_value` on
+:func:`~repro.problems.encodings.maxcut_problem` gives a strong lower
+bound.
 """
 
 from __future__ import annotations
@@ -12,14 +14,12 @@ import networkx as nx
 import numpy as np
 
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
-from repro.utils.graphs import ensure_graph, relabel_to_range
-from repro.utils.rng import as_generator
+from repro.utils.graphs import ensure_graph
 
 __all__ = [
     "approximation_ratio",
     "brute_force_maxcut",
     "cut_size",
-    "local_search_maxcut",
 ]
 
 _BRUTE_FORCE_LIMIT = 24
@@ -55,7 +55,8 @@ def brute_force_maxcut(graph: nx.Graph) -> tuple[float, dict]:
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"brute force is limited to {_BRUTE_FORCE_LIMIT} nodes, got {n}; "
-            "use local_search_maxcut for larger graphs"
+            "use repro.problems.local_search_value on maxcut_problem(graph) "
+            "for larger graphs"
         )
     try:
         ordered = sorted(graph.nodes())
@@ -65,54 +66,6 @@ def brute_force_maxcut(graph: nx.Graph) -> tuple[float, dict]:
     best = int(np.argmax(hamiltonian.diagonal))
     assignment = {node: (best >> index) & 1 for index, node in enumerate(ordered)}
     return float(hamiltonian.diagonal[best]), assignment
-
-
-def local_search_maxcut(
-    graph: nx.Graph,
-    restarts: int = 20,
-    seed: int | np.random.Generator | None = None,
-) -> tuple[float, dict]:
-    """Randomized 1-flip local search; strong lower bound for large graphs."""
-    ensure_graph(graph)
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    rng = as_generator(seed)
-    relabeled = relabel_to_range(graph)
-    try:
-        original = sorted(graph.nodes())
-    except TypeError:
-        original = list(graph.nodes())
-    n = relabeled.number_of_nodes()
-    neighbors = [
-        [(j, float(d.get("weight", 1.0))) for j, d in relabeled.adj[i].items()]
-        for i in range(n)
-    ]
-    best_value = -np.inf
-    best_bits: np.ndarray | None = None
-    for _ in range(restarts):
-        bits = rng.integers(0, 2, size=n)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                # Weighted 1-flip gain: flip when more weight sits on
-                # same-side neighbors than on cut neighbors.
-                same = sum(w for j, w in neighbors[i] if bits[j] == bits[i])
-                diff = sum(w for j, w in neighbors[i] if bits[j] != bits[i])
-                if same > diff:
-                    bits[i] ^= 1
-                    improved = True
-        value = sum(
-            float(d.get("weight", 1.0))
-            for u, v, d in relabeled.edges(data=True)
-            if bits[u] != bits[v]
-        )
-        if value > best_value:
-            best_value = value
-            best_bits = bits.copy()
-    assert best_bits is not None
-    assignment = {original[i]: int(best_bits[i]) for i in range(n)}
-    return float(best_value), assignment
 
 
 def approximation_ratio(expectation: float, ground_truth: float) -> float:

@@ -68,6 +68,8 @@ from repro.service.store import ResultStore
 
 __all__ = ["ServeDaemon", "Ticket"]
 
+POLL_INTERVAL = 0.02  # seconds the pump waits for worker events per step
+
 
 @dataclass
 class Ticket:
@@ -107,7 +109,6 @@ class ServeDaemon:
         high_water: int = DEFAULT_HIGH_WATER,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         fault=None,
-        poll_interval: float = 0.02,
         trace_path: str | Path | None = None,
         log=None,
         history_path: str | Path | None = None,
@@ -132,7 +133,6 @@ class ServeDaemon:
         self.pool = make_pool(
             pool, workers, fault=fault, trace=self.tracer is not None, log=self.log
         )
-        self.poll_interval = poll_interval
         self.tickets: dict[str, Ticket] = {}
         self._ticket_ids = itertools.count(1)
         self._claims: dict = {}
@@ -322,7 +322,7 @@ class ServeDaemon:
             self.queue,
             self.pool,
             self._claims,
-            timeout=self.poll_interval,
+            timeout=POLL_INTERVAL,
             lock=self._lock,
             landed=self._landed,
             tracer=self.tracer,

@@ -75,6 +75,7 @@ __all__ = [
     "drain",
     "execute_shard",
     "make_pool",
+    "pool_kind",
     "pump",
 ]
 
@@ -452,6 +453,25 @@ class ProcessWorkerPool:
         self._pool.clear()
 
 
+def pool_kind(kind: str | None, workers: int) -> str:
+    """The pool kind :func:`make_pool` builds for ``kind`` and ``workers``.
+
+    ``kind`` is ``"inline"``, ``"process"``, or ``None`` to pick inline for
+    one worker and processes otherwise.  Raises ``ValueError`` for a
+    combination no pool can run, so callers can refuse it before spending
+    any work.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if kind is None:
+        return "inline" if workers == 1 else "process"
+    if kind == "inline" and workers > 1:
+        raise ValueError("the inline pool is single-worker; use pool='process'")
+    if kind not in ("inline", "process"):
+        raise ValueError(f"pool must be 'inline' or 'process', got {kind!r}")
+    return kind
+
+
 def make_pool(
     kind: str | None,
     workers: int,
@@ -460,22 +480,15 @@ def make_pool(
     trace: bool = False,
     log=None,
 ):
-    """Build a pool: ``kind`` is ``"inline"``, ``"process"``, or ``None``
-    to pick inline for one worker and processes otherwise.
+    """Build the pool :func:`pool_kind` names for ``kind`` and ``workers``.
 
     ``trace`` turns on per-job span collection in either pool kind (the
     inline pool also follows the process-global tracer); ``log`` receives
     the process pool's respawn events.
     """
-    if kind is None:
-        kind = "inline" if workers <= 1 else "process"
-    if kind == "inline":
-        if workers > 1:
-            raise ValueError("the inline pool is single-worker; use pool='process'")
+    if pool_kind(kind, workers) == "inline":
         return InlineWorkerPool(plan_cache=plan_cache, trace=trace)
-    if kind == "process":
-        return ProcessWorkerPool(workers, fault=fault, trace=trace, log=log)
-    raise ValueError(f"pool must be 'inline' or 'process', got {kind!r}")
+    return ProcessWorkerPool(workers, fault=fault, trace=trace, log=log)
 
 
 class _NullLock:
@@ -646,19 +659,9 @@ def pump(
     return progressed
 
 
-def drain(
-    queue: ShardedJobQueue, pool, on_result=None, on_dead=None, tracer=None, log=None
-) -> dict:
+def drain(queue: ShardedJobQueue, pool, on_result=None, on_dead=None, tracer=None) -> dict:
     """Pump until the queue is idle; returns ``queue.completed``."""
     claims: dict[int, ShardClaim] = {}
     while not queue.is_idle():
-        pump(
-            queue,
-            pool,
-            claims,
-            on_result=on_result,
-            on_dead=on_dead,
-            tracer=tracer,
-            log=log,
-        )
+        pump(queue, pool, claims, on_result=on_result, on_dead=on_dead, tracer=tracer)
     return queue.completed

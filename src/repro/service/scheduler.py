@@ -34,7 +34,7 @@ pure function of the job fingerprint, so batched execution, N sequential
 bit-identical per job -- regardless of grouping or execution order.  The
 one exception is opt-in: passing a :class:`~repro.core.cache.ReductionCache`
 bank as ``reduction_cache`` additionally serves *similar* (not identical)
-instances from it by AND bucket, the paper's Sec. 6.1 cross-instance
+instances from it by closest AND, the paper's Sec. 6.1 cross-instance
 transfer.  That trades bit-identity (the surrogate landscape
 is close, not equal) for skipping the annealing search; it stays
 deterministic for a fixed manifest *set* because reductions are processed
@@ -61,7 +61,7 @@ from repro.obs.trace import get_tracer, trace_job
 from repro.qaoa.expectation import EngineLimitError
 from repro.qaoa.lightcone import PlanCache
 from repro.serve.queue import ShardedJobQueue
-from repro.serve.workers import drain, make_pool
+from repro.serve.workers import drain, make_pool, pool_kind
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.store import ResultStore
 from repro.utils.graphs import average_node_strength
@@ -166,39 +166,37 @@ class BatchScheduler:
         are written through it and found jobs skip execution entirely.  A
         job whose instance was served a banked cross-instance reduction is
         not written: its result is not its fingerprint's exact answer.
-    plan_cache:
-        Shared compiled-plan bank; a private one is created when omitted.
     reduction_cache:
         ``None`` (default) shares reductions only between jobs whose
         instance fingerprints match -- bit-identity preserved.  A
         :class:`~repro.core.cache.ReductionCache` turns on cross-instance
-        reuse: it is consulted (AND-bucket matching, graph jobs only) for
-        *similar* instances -- approximate but deterministic for a fixed
-        manifest set.  Its ``threshold`` defines bank-hit acceptance.  One
-        lookup per graph instance reduced in phase 1: its ``hits`` grow
-        by the report's ``reduction_cross_hits``.
+        reuse: it is consulted (closest acceptable AND, graph jobs only)
+        for *similar* instances -- approximate but deterministic for a
+        fixed manifest set.  A banked graph is a hit when its AND ratio to
+        the instance clears the reducer's default 0.7.  One lookup per
+        graph instance reduced in phase 1: its ``hits`` grow by the
+        report's ``reduction_cross_hits``.
     workers / pool:
         Execution runs through the :mod:`repro.serve` worker pool -- the
         same path the daemon uses.  The default (one inline worker) keeps
-        everything in-process with the shared plan cache; ``workers=N``
+        everything in-process with the scheduler's plan cache; ``workers=N``
         with the ``"process"`` pool executes shards on N processes,
         bit-identical by the purity contract (process workers keep
         per-process plan caches, so ``plan_hits`` then only counts
-        parent-side compilations).
+        parent-side compilations).  A combination no pool can run raises
+        ``ValueError`` here, before any work.
     """
 
     def __init__(
         self,
         store: ResultStore | None = None,
-        plan_cache: PlanCache | None = None,
         reduction_cache: ReductionCache | None = None,
         workers: int = 1,
         pool: str | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        pool_kind(pool, workers)
         self.store = store
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        self.plan_cache = PlanCache()
         self.reduction_cache = reduction_cache
         self.workers = workers
         self.pool = pool

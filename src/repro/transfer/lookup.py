@@ -27,6 +27,7 @@ __all__ = ["ParameterLookup"]
 
 _MIN_DEGREE = 1
 _MAX_DEGREE = 12
+POLISH_MAXITER = 40  # COBYLA steps polishing each entry's grid optimum
 
 
 class ParameterLookup:
@@ -36,22 +37,21 @@ class ParameterLookup:
     ----------
     donor_nodes:
         Size of the random regular donor graphs used to build entries.
-    grid_width / polish_maxiter:
-        Budget for optimizing each entry (grid scan then COBYLA polish).
+    grid_width:
+        Grid-scan width for each entry, before a ``POLISH_MAXITER``-step
+        COBYLA polish.
     """
 
     def __init__(
         self,
         donor_nodes: int = 16,
         grid_width: int = 16,
-        polish_maxiter: int = 40,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         if donor_nodes < 4:
             raise ValueError(f"donor_nodes must be >= 4, got {donor_nodes}")
         self.donor_nodes = donor_nodes
         self.grid_width = grid_width
-        self.polish_maxiter = polish_maxiter
         self._rng = as_generator(seed)
         self._table: dict[int, tuple[float, float]] = {}
 
@@ -102,7 +102,7 @@ class ParameterLookup:
             fn,
             p=1,
             initial=np.array([gamma, beta]),
-            maxiter=self.polish_maxiter,
+            maxiter=POLISH_MAXITER,
             rhobeg=0.15,
             seed=self._rng,
         )

@@ -3,8 +3,8 @@
 - The cache-blocked dense kernels must equal the whole-vector forms here
   bit for bit.
 - The incremental annealer must equal :func:`reference_simulated_annealing`
-  (per-call networkx recomputation, run through the library's own
-  annealing driver) bit for bit.
+  (per-call networkx recomputation of :func:`and_difference_objective`,
+  run through the library's own annealing driver) bit for bit.
 - Compiled lightcone plans must agree to 1e-12 with
   :func:`lightcone_expectation_reference`, which re-discovers structure
   and simulates every signature class on a full statevector per call.
@@ -19,7 +19,6 @@ import networkx as nx
 import numpy as np
 
 from repro.core.annealer import _anneal
-from repro.core.objective import and_difference_objective
 from repro.qaoa.expectation import coerce_params
 from repro.qaoa.fast_sim import qaoa_expectation_fast, qaoa_probabilities
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
@@ -29,6 +28,7 @@ from repro.qaoa.lightcone import (
     _signature,
     edge_lightcone,
 )
+from repro.utils.graphs import average_node_strength, ensure_graph
 from repro.utils.rng import as_generator
 
 
@@ -127,6 +127,38 @@ def neighbor_swap(graph: nx.Graph, nodes: set, seed=None, max_attempts: int = 20
     return set(nodes)
 
 
+def subgraph_and(graph: nx.Graph, nodes: Iterable) -> float:
+    """Weighted AND (strength) of the subgraph of ``graph`` induced by ``nodes``.
+
+    Uses weight magnitudes, matching
+    :func:`~repro.utils.graphs.average_node_strength`: the QAOA landscape
+    depends on ``cos(gamma * w)`` (even in ``w``) and signed sums cancel on
+    spin glasses.  The strength sum is an ``math.fsum`` (correctly rounded,
+    order-independent), which is what lets the incremental annealer
+    reproduce this value bit for bit from exact integer updates.
+    """
+    nodes = set(nodes)
+    if not nodes:
+        raise ValueError("node set must be non-empty")
+    sub = graph.subgraph(nodes)
+    total = math.fsum(abs(data.get("weight", 1.0)) for _, _, data in sub.edges(data=True))
+    return 2.0 * total / len(nodes)
+
+
+def and_difference_objective(graph: nx.Graph, nodes: Iterable, target_and: float | None = None) -> float:
+    """``|AND(subgraph) - AND(G)|`` -- the quantity Algorithm 1 minimizes.
+
+    Both ANDs are weighted (strength-based); on unit-weight graphs this is
+    the paper's unweighted AND difference bit for bit.  ``target_and``
+    overrides the original graph's AND when the caller has already
+    computed it.
+    """
+    ensure_graph(graph)
+    if target_and is None:
+        target_and = average_node_strength(graph)
+    return abs(subgraph_and(graph, nodes) - target_and)
+
+
 class ReferenceState:
     """Annealing state with per-call networkx recomputation."""
 
@@ -149,15 +181,9 @@ class ReferenceState:
         return set(self._current)
 
 
-def reference_simulated_annealing(
-    graph, k, initial_temperature=1.0, final_temperature=1e-3, cooling="adaptive",
-    seed=None, max_steps=None,
-):
+def reference_simulated_annealing(graph, k, cooling="adaptive", seed=None, max_steps=None):
     """:func:`repro.core.annealer.simulated_annealing` on :class:`ReferenceState`."""
-    return _anneal(
-        graph, k, initial_temperature, final_temperature, cooling, seed,
-        max_steps, ReferenceState,
-    )
+    return _anneal(graph, k, cooling, seed, max_steps, ReferenceState)
 
 
 # -- the lightcone plan ----------------------------------------------------------

@@ -8,10 +8,14 @@ reducer per test.
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.cache as cache_module
 from repro.core.cache import ReductionCache
-from repro.core.reduction import GraphReducer
+from repro.core.reduction import DEFAULT_AND_RATIO_THRESHOLD, GraphReducer, and_ratio
 from repro.qaoa.landscape import compute_landscape, landscape_mse
+from repro.utils.graphs import average_node_strength, is_weighted
 
 
 def _connected_er(n, p, seed):
@@ -31,6 +35,11 @@ def _bank_round(cache, reducer, graph):
     result = reducer.reduce(graph)
     cache.bank(result)
     return result.reduced_graph, False
+
+
+def _entries(cache):
+    """Banked entries in eviction order (least recently used first)."""
+    return list(cache._by_id.values())
 
 
 class TestBasics:
@@ -73,8 +82,9 @@ class TestBasics:
         if entry is not None:
             assert entry.graph.number_of_nodes() < 5
 
-    def test_eviction(self):
-        cache, reducer = ReductionCache(max_entries=2), GraphReducer(seed=0)
+    def test_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         for seed in range(4):
             # Alternate densities to force misses.
             p = 0.3 if seed % 2 == 0 else 0.8
@@ -84,21 +94,13 @@ class TestBasics:
     def test_hit_rate_accounting(self):
         """Every lookup counts once, banked or not, edgeless or not."""
         cache, reducer = ReductionCache(), GraphReducer(seed=0)
-        assert cache.hit_rate == 0.0
+        assert (cache.hits, cache.misses) == (0, 0)
         _bank_round(cache, reducer, _connected_er(10, 0.45, 4))
         _bank_round(cache, reducer, _connected_er(10, 0.45, 5))
+        misses = cache.misses
         assert cache.lookup(nx.empty_graph(4)) is None
+        assert cache.misses == misses + 1
         assert cache.hits + cache.misses == 3
-        assert cache.hit_rate == cache.hits / 3
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            ReductionCache(max_entries=0)
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.5, True, "0.7"])
-    def test_threshold_validated(self, threshold):
-        with pytest.raises(ValueError, match="and_ratio_threshold"):
-            ReductionCache(threshold=threshold)
 
     def test_returned_graph_is_a_copy(self):
         """Neither the banked reduction nor the scheduler's wrap of a hit
@@ -109,14 +111,14 @@ class TestBasics:
         base = _connected_er(10, 0.45, 0)
         result = GraphReducer(seed=0).reduce(base)
         cache.bank(result)
-        edges = cache._entries[0].graph.number_of_edges()
+        edges = _entries(cache)[0].graph.number_of_edges()
         result.reduced_graph.add_edge(0, 99)
         query = nx.Graph(base)
         query.add_edges_from([(10, 0), (10, 1), (10, 2)])
         found = cache.lookup(query)
         assert found is not None
         _reduction_from_bank(query, found).reduced_graph.add_edge(0, 98)
-        assert cache._entries[0].graph.number_of_edges() == edges
+        assert _entries(cache)[0].graph.number_of_edges() == edges
 
 
 class TestLandscapeQualityOfHits:
@@ -142,7 +144,7 @@ class TestLandscapeQualityOfHits:
         cache, reducer = ReductionCache(), GraphReducer(seed=0)
         for seed in range(8):
             _bank_round(cache, reducer, _connected_er(10 + seed % 3, 0.45, 20 + seed))
-        assert cache.hit_rate >= 0.5
+        assert cache.hits >= 0.5 * (cache.hits + cache.misses)
 
 
 def _synthetic_reduction(banked: nx.Graph, original_nodes: int):
@@ -166,21 +168,19 @@ def _synthetic_reduction(banked: nx.Graph, original_nodes: int):
 
 class TestIndexAndLRU:
     def test_lookup_matches_linear_scan(self):
-        """The bucket index must select exactly what the old O(entries)
-        scan selected: the closest-AND acceptable entry."""
-        cache, reducer = ReductionCache(max_entries=32), GraphReducer(seed=0)
+        """Lookup selects the closest-AND acceptable entry."""
+        cache, reducer = ReductionCache(), GraphReducer(seed=0)
         for seed in range(10):
             p = (0.25, 0.5, 0.75)[seed % 3]
             _bank_round(cache, reducer, _connected_er(8 + seed % 4, p, 40 + seed))
-        from repro.utils.graphs import average_node_strength, is_weighted
 
         for seed in range(6):
             query = _connected_er(12, (0.3, 0.55, 0.8)[seed % 3], 60 + seed)
             target = average_node_strength(query)
             weighted = is_weighted(query)
-            threshold = cache.threshold
+            threshold = DEFAULT_AND_RATIO_THRESHOLD
             best, best_gap = None, np.inf
-            for entry in cache._entries:
+            for entry in _entries(cache):
                 if entry.graph.number_of_nodes() >= query.number_of_nodes():
                     continue
                 if entry.weighted != weighted:
@@ -199,8 +199,9 @@ class TestIndexAndLRU:
                 assert found is not None
                 assert abs(found.and_value - target) == best_gap
 
-    def test_hit_touches_entry_so_lru_eviction_spares_it(self):
-        cache = ReductionCache(max_entries=2)
+    def test_hit_touches_entry_so_lru_eviction_spares_it(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = ReductionCache()
         hot = nx.cycle_graph(5)  # AND = 2
         cold = nx.complete_graph(5)  # AND = 4
         cache.bank(_synthetic_reduction(hot, 10))
@@ -210,31 +211,97 @@ class TestIndexAndLRU:
         # ...then overflow: the *untouched* complete graph must go.
         cache.bank(_synthetic_reduction(nx.cycle_graph(6), 12))
         assert cache.size == 2
-        assert all(entry.and_value < 4.0 for entry in cache._entries)
+        assert all(entry.and_value < 4.0 for entry in _entries(cache))
 
-    def test_fifo_eviction_without_touches(self):
-        cache = ReductionCache(max_entries=2)
+    def test_fifo_eviction_without_touches(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = ReductionCache()
         for size in (4, 5, 6):
             cache.bank(_synthetic_reduction(nx.cycle_graph(size), 12))
-        assert [entry.graph.number_of_nodes() for entry in cache._entries] == [5, 6]
+        assert [entry.graph.number_of_nodes() for entry in _entries(cache)] == [5, 6]
 
-    def test_bucket_index_stays_consistent_under_eviction(self):
-        cache = ReductionCache(max_entries=3)
-        for seed in range(8):
-            cache.bank(
-                _synthetic_reduction(_connected_er(5 + seed % 3, 0.6, 80 + seed), 12)
-            )
-        assert cache.size == 3
-        indexed = sorted(
-            entry_id for ids in cache._buckets.values() for entry_id in ids
-        )
-        assert indexed == sorted(cache._by_id)
 
-    def test_threshold_one_only_exact_and_matches(self):
-        cache = ReductionCache(threshold=1.0, max_entries=8)
-        cache.bank(_synthetic_reduction(nx.cycle_graph(5), 12))  # AND exactly 2
-        assert cache.lookup(nx.cycle_graph(9)) is not None  # AND exactly 2
-        assert cache.lookup(nx.complete_graph(9)) is None
+_WEIGHTS = st.sampled_from([1.5, 2.0])
+
+
+@st.composite
+def _small_graph(draw, min_nodes, max_nodes, weighted):
+    n = draw(st.integers(min_nodes, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = nx.empty_graph(n)
+    count = draw(st.integers(0, len(pairs)))
+    for u, v in draw(st.permutations(pairs))[:count]:
+        graph.add_edge(u, v, weight=draw(_WEIGHTS) if weighted else 1.0)
+    return graph
+
+
+@st.composite
+def _bank_operations(draw):
+    """Banks and lookups; a lookup may grow an earlier banked graph by a
+    disjoint extra part, which keeps its AND near (or at) the banked one."""
+    operations, banked = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["bank", "lookup"]))
+        weighted = draw(st.booleans())
+        if kind == "bank":
+            graph = draw(_small_graph(2, 5, weighted))
+            banked.append(graph)
+        elif banked and draw(st.booleans()):
+            base = draw(st.sampled_from(banked))
+            extra = base if draw(st.booleans()) else draw(_small_graph(1, 4, weighted))
+            graph = nx.disjoint_union(base, extra)
+        else:
+            graph = draw(_small_graph(4, 8, weighted))
+        operations.append((kind, graph))
+    return operations
+
+
+@settings(max_examples=80, deadline=None)
+@given(operations=_bank_operations(), capacity=st.integers(1, 5))
+def test_property_lookup_is_the_brute_force_rule(operations, capacity):
+    """Over random banks (AND values, weightedness, sizes, evictions),
+    ``lookup`` returns exactly the entry the bank rule picks by brute
+    force -- same weightedness, strictly smaller, AND ratio at least the
+    threshold, closest AND, oldest on ties -- and counts one hit or miss."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "MAX_ENTRIES", capacity)
+        cache = ReductionCache()
+        model = []  # (insertion tag, graph, AND, weighted), least recent first
+        for tag, (kind, graph) in enumerate(operations):
+            graph.graph["tag"] = tag
+            if kind == "bank":
+                cache.bank(_synthetic_reduction(graph, 12))
+                and_value = average_node_strength(graph)
+                if and_value > 0.0:
+                    model.append((tag, graph, and_value, is_weighted(graph)))
+                    del model[:-capacity]
+                continue
+            target = average_node_strength(graph)
+            expected, best_gap = None, np.inf
+            for entry in sorted(model, key=lambda item: item[0]):
+                _, banked, and_value, weighted = entry
+                if weighted != is_weighted(graph):
+                    continue
+                if banked.number_of_nodes() >= graph.number_of_nodes():
+                    continue
+                if and_ratio(target, and_value) < DEFAULT_AND_RATIO_THRESHOLD:
+                    continue
+                if abs(and_value - target) < best_gap:
+                    expected, best_gap = entry, abs(and_value - target)
+            hits, misses = cache.hits, cache.misses
+            found = cache.lookup(graph)
+            if expected is None:
+                assert found is None
+                assert (cache.hits, cache.misses) == (hits, misses + 1)
+            else:
+                assert found is not None
+                assert found.graph.graph["tag"] == expected[0]
+                assert (cache.hits, cache.misses) == (hits + 1, misses)
+                model.remove(expected)
+                model.append(expected)  # a hit is a use
+        assert [entry.graph.graph["tag"] for entry in _entries(cache)] == [
+            item[0] for item in model
+        ]
 
 
 class TestWeightedIsolation:
@@ -260,7 +327,7 @@ class TestWeightedIsolation:
             cache, GraphReducer(seed=0),
             attach_weights(_connected_er(10, 0.45, 2), "uniform", seed=2),
         )
-        entry = cache._entries[0]
+        entry = _entries(cache)[0]
         assert entry.weighted
         similar = attach_weights(_connected_er(11, 0.45, 3), "uniform", seed=3)
         found = cache.lookup(similar)

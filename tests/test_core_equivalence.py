@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.equivalence import (
-    and_ratio,
     fit_polynomial,
     subgraph_and_mse_study,
     AndMseSample,
@@ -13,20 +12,34 @@ from repro.core.equivalence import (
 
 
 class TestAndRatio:
+    """Fig. 5's x-axis, as the study records it: the unclipped
+    ``AND(subgraph) / AND(graph)`` on unweighted degrees."""
+
     def test_identity(self):
-        g = nx.cycle_graph(6)
-        assert and_ratio(g, g) == 1.0
+        # Every node of a triangle-plus-square has degree 2, so the
+        # triangle and the square keep the whole graph's AND.
+        g = nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(4))
+        samples = subgraph_and_mse_study(g, max_subgraphs_per_size=None, width=4)
+        cycles = [s for s in samples if s.num_edges == s.num_nodes]
+        assert sorted(s.num_nodes for s in cycles) == [3, 4]
+        assert all(s.and_ratio == 1.0 for s in cycles)
 
     def test_subgraph_lower(self):
-        g = nx.complete_graph(6)
-        sub = nx.complete_graph(3)
-        assert and_ratio(g, sub) == pytest.approx(2 / 5)
+        samples = subgraph_and_mse_study(nx.complete_graph(6), width=4)
+        assert [(s.num_nodes, s.and_ratio) for s in samples] == [
+            (3, pytest.approx(2 / 5)), (4, pytest.approx(3 / 5)), (5, pytest.approx(4 / 5)),
+        ]
+        # Unclipped: a K4 head on a 3-node tail has the larger AND alone.
+        lollipop = nx.lollipop_graph(4, 3)
+        samples = subgraph_and_mse_study(lollipop, max_subgraphs_per_size=None, width=4)
+        head = [s for s in samples if (s.num_nodes, s.num_edges) == (4, 6)]
+        assert [s.and_ratio for s in head] == [pytest.approx(3.0 / (18 / 7))]
 
     def test_edgeless_original_rejected(self):
         g = nx.Graph()
         g.add_nodes_from(range(3))
-        with pytest.raises(ValueError):
-            and_ratio(g, nx.path_graph(2))
+        with pytest.raises(ValueError, match="no edges"):
+            subgraph_and_mse_study(g)
 
 
 class TestStudy:

@@ -1,10 +1,10 @@
-"""Tests for repro.core.objective and repro.core.cooling."""
+"""Tests for the AND-difference objective oracle and repro.core.cooling."""
 
 import networkx as nx
 import pytest
+from _kernel_oracles import and_difference_objective, subgraph_and
 
 from repro.core.cooling import AdaptiveCooling, ConstantCooling
-from repro.core.objective import and_difference_objective, subgraph_and
 
 
 class TestSubgraphAnd:

@@ -85,17 +85,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             GraphReducer(and_ratio_threshold=1.5)
 
-    def test_min_nodes_bound(self):
-        with pytest.raises(ValueError):
-            GraphReducer(min_nodes=1)
-
     def test_min_keep_fraction_bounds(self):
         with pytest.raises(ValueError):
             GraphReducer(min_keep_fraction=0.0)
-
-    def test_retries_bound(self):
-        with pytest.raises(ValueError):
-            GraphReducer(retries=0)
 
     def test_edgeless_graph_rejected(self):
         g = nx.Graph()

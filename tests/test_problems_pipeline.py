@@ -105,11 +105,6 @@ class TestReduceProblem:
             assert reduction.and_ratio == direct.and_ratio
             assert (reduction.subproblem is None) == (instance is graph)
 
-    def test_target_size(self):
-        problem = sk_problem(12, seed=1)
-        result = GraphReducer(seed=0).reduce_problem(problem, target_size=8)
-        assert result.subproblem.num_qubits == 8
-
 
 class TestPipelineProblems:
     def test_run_requires_exactly_one_input(self):

@@ -20,8 +20,9 @@ from repro.qaoa.maxcut import (
     approximation_ratio,
     brute_force_maxcut,
     cut_size,
-    local_search_maxcut,
 )
+from repro.problems import local_search_value
+from repro.problems.encodings import maxcut_problem
 
 
 def _connected_er(n, p, seed):
@@ -173,24 +174,31 @@ class TestBruteForce:
         assert assignment["a"] != assignment["b"]
 
 
+def _maxcut_local_search(graph, restarts, seed=None):
+    """MaxCut 1-flip local search: the generic search on the MaxCut encoding,
+    with the bits mapped back onto the graph's ``0..n-1`` labels."""
+    value, bits = local_search_value(maxcut_problem(graph), restarts=restarts, seed=seed)
+    return value, {node: int(bit) for node, bit in enumerate(bits)}
+
+
 class TestLocalSearch:
     def test_reaches_optimum_on_small_graphs(self):
         for seed in range(4):
             g = _connected_er(10, 0.4, seed)
             exact, _ = brute_force_maxcut(g)
-            heuristic, assignment = local_search_maxcut(g, restarts=20, seed=seed)
+            heuristic, assignment = _maxcut_local_search(g, restarts=20, seed=seed)
             assert heuristic == exact
             assert cut_size(g, assignment) == heuristic
 
     def test_large_graph_reasonable(self):
         g = nx.random_regular_graph(3, 60, seed=2)
-        value, assignment = local_search_maxcut(g, restarts=10, seed=0)
+        value, assignment = _maxcut_local_search(g, restarts=10, seed=0)
         assert value >= g.number_of_edges() * 0.6
         assert cut_size(g, assignment) == value
 
     def test_restart_validation(self):
         with pytest.raises(ValueError):
-            local_search_maxcut(nx.path_graph(3), restarts=0)
+            _maxcut_local_search(nx.path_graph(3), restarts=0)
 
 
 class TestMetrics:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gate_oracles import StatevectorSimulator
+import repro.qaoa.fast_sim as fast_sim
 from repro.qaoa.circuit_builder import build_qaoa_circuit
 from repro.qaoa.fast_sim import (
     FastNoiseSpec,
@@ -81,23 +82,26 @@ class TestIdealEngine:
 
 
 class TestBatchEngine:
-    def test_matches_scalar(self):
+    def test_matches_scalar(self, monkeypatch):
+        monkeypatch.setattr(fast_sim, "BATCH_CHUNK", 5)
         ham = MaxCutHamiltonian(_connected_er(6, 0.5, 1))
         rng = np.random.default_rng(0)
         gammas = rng.uniform(0, 2 * np.pi, size=(17, 2))
         betas = rng.uniform(0, np.pi, size=(17, 2))
-        batch = qaoa_expectation_batch(ham, gammas, betas, chunk_size=5)
+        batch = qaoa_expectation_batch(ham, gammas, betas)
         scalar = np.array(
             [qaoa_expectation_fast(ham, g, b) for g, b in zip(gammas, betas)]
         )
         assert np.allclose(batch, scalar, atol=1e-10)
 
-    def test_chunking_boundary(self):
+    def test_chunking_boundary(self, monkeypatch):
         ham = MaxCutHamiltonian(nx.cycle_graph(4))
         gammas = np.full((8, 1), 0.3)
         betas = np.full((8, 1), 0.2)
-        out_small = qaoa_expectation_batch(ham, gammas, betas, chunk_size=3)
-        out_large = qaoa_expectation_batch(ham, gammas, betas, chunk_size=100)
+        monkeypatch.setattr(fast_sim, "BATCH_CHUNK", 3)
+        out_small = qaoa_expectation_batch(ham, gammas, betas)
+        monkeypatch.setattr(fast_sim, "BATCH_CHUNK", 100)
+        out_large = qaoa_expectation_batch(ham, gammas, betas)
         assert np.allclose(out_small, out_large)
 
     def test_shape_mismatch(self):

@@ -127,12 +127,6 @@ class TestParameterSets:
         assert energies.shape == (12,)
         assert (energies >= 0).all()
 
-    def test_evaluate_custom_evaluator(self):
-        g = nx.path_graph(4)
-        gammas, betas = sample_parameter_sets(1, 5, seed=3)
-        constant = evaluate_parameter_sets(g, gammas, betas, evaluator=lambda *_: 1.5)
-        assert (constant == 1.5).all()
-
 
 class TestNoisyLandscape:
     def test_noisy_landscape_differs_from_ideal(self):

@@ -11,7 +11,9 @@ from repro.qaoa.analytic import maxcut_p1_expectation, maxcut_p1_weighted_edge_z
 from repro.qaoa.circuit_builder import build_qaoa_circuit
 from repro.qaoa.fast_sim import qaoa_expectation_fast
 from repro.qaoa.hamiltonian import MaxCutHamiltonian, cut_values
-from repro.qaoa.maxcut import brute_force_maxcut, cut_size, local_search_maxcut
+from repro.problems import local_search_value
+from repro.problems.encodings import maxcut_problem
+from repro.qaoa.maxcut import brute_force_maxcut, cut_size
 
 
 def _weighted_er(n, p, seed, low=0.2, high=2.0):
@@ -71,9 +73,9 @@ class TestWeightedSolvers:
         for seed in range(3):
             g = _weighted_er(9, 0.45, seed)
             exact, _ = brute_force_maxcut(g)
-            heuristic, assignment = local_search_maxcut(g, restarts=25, seed=seed)
+            heuristic, bits = local_search_value(maxcut_problem(g), restarts=25, seed=seed)
             assert heuristic == pytest.approx(exact)
-            assert cut_size(g, assignment) == pytest.approx(heuristic)
+            assert cut_size(g, dict(enumerate(bits))) == pytest.approx(heuristic)
 
 
 class TestWeightedCircuitsAndEngines:

@@ -140,7 +140,7 @@ class TestCrossInstanceMode:
         assert BatchScheduler().reduction_cache is None
 
     def test_cross_instance_is_deterministic_for_a_manifest_set(self):
-        # A stream of similar unweighted instances: the AND-bucket bank can
+        # A stream of similar unweighted instances: the AND-matched bank can
         # serve later ones from earlier reductions (approximate mode), but
         # sorted-instance-fingerprint processing keeps the outcome a pure
         # function of the manifest *set*.
@@ -247,6 +247,33 @@ class TestProblemJobs:
         assert report.reduction_reuses == 1
         for view, expected in zip(report.results, [run_job(s) for s in specs]):
             assert _key(view.result) == _key(expected)
+
+
+class TestPoolConfig:
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (dict(pool="bogus"), "pool must be"),
+            (dict(pool="inline", workers=2), "single-worker"),
+            (dict(workers=0), "workers must be"),
+        ],
+    )
+    def test_bad_pool_config_fails_before_any_reduction(self, monkeypatch, config, message):
+        """A pool no worker can run is refused by the constructor, before
+        phase 1 spends a single annealing run."""
+        import repro.core.reduction as reduction
+
+        runs = []
+        original = reduction.simulated_annealing
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "simulated_annealing", counting)
+        with pytest.raises(ValueError, match=message):
+            BatchScheduler(**config).run(_specs_with_duplicates())
+        assert runs == []
 
 
 class TestUnevaluableJobs:

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import repro.transfer.lookup as lookup_module
 from repro.qaoa.expectation import maxcut_expectation
 from repro.qaoa.landscape import sample_parameter_sets
 from repro.transfer import ParameterLookup
@@ -21,7 +22,11 @@ def _connected_er(n, p, seed):
 
 @pytest.fixture(scope="module")
 def lookup():
-    return ParameterLookup(donor_nodes=14, grid_width=12, polish_maxiter=25, seed=0)
+    # A 25-step polish keeps the module fast; entries are built lazily, so
+    # the budget stays patched while the module's tests use them.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lookup_module, "POLISH_MAXITER", 25)
+        yield ParameterLookup(donor_nodes=14, grid_width=12, seed=0)
 
 
 class TestEntries:
