@@ -7,7 +7,16 @@ forms (the oracles in ``tests/_kernel_oracles.py``) and emits
 - SA reducer steps/sec at n in {100, 400, 1000} (connected ER instances,
   same sizing rule as the Fig. 18 runtime study), incremental state vs
   the per-call networkx state, both through the library's annealing
-  driver;
+  loop, at k = 0.7n under constant cooling (alpha = 0.95).  That
+  schedule freezes after 135 steps at every size, so the step caps bind
+  only where they are lower (the reference at n=1000); each side records
+  the steps that ran;
+- incremental SA steps/sec under the default adaptive cooling at n in
+  {400, 1000} and k in {0.6n, 0.8n}, the median over ``SA_ADAPTIVE_SEEDS``
+  runs: most proposals commit there, so a per-commit cost shows in this
+  section rather than in the constant-cooling one (computing the
+  articulation flags on every commit instead of lazily cut these rates by
+  35-47% on a 2-vCPU Xeon);
 - lightcone landscape points/sec on a 64-node 3-regular graph at p=2 over
   384 random parameter sets, plan/evaluate engine vs the per-call engine
   (timed on a subset -- it re-discovers structure every point -- and
@@ -18,6 +27,7 @@ Acceptance floors from the issue: >= 5x reducer steps/sec at n=400 and
 """
 
 import os
+import statistics
 import time
 
 import networkx as nx
@@ -33,6 +43,9 @@ from repro.qaoa.lightcone import LightconePlan
 SA_SIZES = (100, 400, 1000)
 SA_STEPS_INCREMENTAL = 1000
 SA_STEPS_REFERENCE = {100: 300, 400: 200, 1000: 120}
+SA_ADAPTIVE_SIZES = (400, 1000)
+SA_ADAPTIVE_FRACTIONS = (0.6, 0.8)
+SA_ADAPTIVE_SEEDS = 5
 LIGHTCONE_NODES = 64
 LIGHTCONE_DEGREE = 3
 LIGHTCONE_P = 2
@@ -49,27 +62,47 @@ def _timed(fn):
     return time.perf_counter() - start, value
 
 
-def _steps_per_sec(anneal, graph, max_steps):
-    """Steps/sec at ``k = 0.7 n``: a fixed budget under slow constant cooling
-    keeps the run step-bound, so rates compare across implementations."""
-    k = max(2, int(0.7 * graph.number_of_nodes()))
-    seconds, result = _timed(
-        lambda: anneal(graph, k, cooling="constant", seed=0, max_steps=max_steps)
-    )
-    return result.steps / seconds
+def _steps_per_sec(anneal, graph, k, seed=0, **options):
+    """``(steps/sec, steps)`` of one annealing run at subgraph size ``k``."""
+    seconds, result = _timed(lambda: anneal(graph, k, seed=seed, **options))
+    return result.steps / seconds, result.steps
 
 
 def _sa_section():
     section = {}
     for n in SA_SIZES:
         graph = benchmark_graph(n, seed=1)
-        fast = _steps_per_sec(simulated_annealing, graph, SA_STEPS_INCREMENTAL)
-        slow = _steps_per_sec(reference_simulated_annealing, graph, SA_STEPS_REFERENCE[n])
+        k = max(2, int(0.7 * n))
+        fast, fast_steps = _steps_per_sec(
+            simulated_annealing, graph, k, cooling="constant", max_steps=SA_STEPS_INCREMENTAL
+        )
+        slow, slow_steps = _steps_per_sec(
+            reference_simulated_annealing, graph, k,
+            cooling="constant", max_steps=SA_STEPS_REFERENCE[n],
+        )
         section[str(n)] = {
             "incremental_steps_per_sec": fast,
+            "incremental_steps": fast_steps,
             "reference_steps_per_sec": slow,
+            "reference_steps": slow_steps,
             "speedup": fast / slow,
         }
+    return section
+
+
+def _sa_adaptive_section():
+    section = {}
+    for n in SA_ADAPTIVE_SIZES:
+        graph = benchmark_graph(n, seed=1)
+        for fraction in SA_ADAPTIVE_FRACTIONS:
+            runs = [
+                _steps_per_sec(simulated_annealing, graph, int(fraction * n), seed=seed)
+                for seed in range(SA_ADAPTIVE_SEEDS)
+            ]
+            section[f"{n}@{fraction}"] = {
+                "steps_per_sec": statistics.median(rate for rate, _ in runs),
+                "steps": [steps for _, steps in runs],
+            }
     return section
 
 
@@ -104,7 +137,11 @@ def _lightcone_section():
 
 def test_bench_pr3_emit(benchmark):
     def experiment():
-        return {"sa_reducer": _sa_section(), "lightcone": _lightcone_section()}
+        return {
+            "sa_reducer": _sa_section(),
+            "sa_adaptive": _sa_adaptive_section(),
+            "lightcone": _lightcone_section(),
+        }
 
     results = run_once(benchmark, experiment)
     write_bench(OUTPUT, results)
@@ -120,7 +157,13 @@ def test_bench_pr3_emit(benchmark):
         row(f"SA n={n}",
             incremental=stats["incremental_steps_per_sec"],
             reference=stats["reference_steps_per_sec"],
-            speedup=stats["speedup"])
+            speedup=stats["speedup"],
+            steps=f"{stats['incremental_steps']}/{stats['reference_steps']}")
+    for size, stats in results["sa_adaptive"].items():
+        n, fraction = size.split("@")
+        row(f"SA adaptive n={n} k={fraction}n",
+            incremental=stats["steps_per_sec"],
+            steps=stats["steps"])
     cone = results["lightcone"]
     row("lightcone",
         plan=cone["plan_points_per_sec"],

@@ -11,10 +11,14 @@ per-call reference, ``and_difference_objective``, lives in
 
 :func:`simulated_annealing` keeps **incremental state**: a flat CSR
 adjacency built once per call, the subgraph strength sum, the outside set,
-and per-node "edges into subgraph" counters are maintained under each
-swap, so one step costs ``O(deg(removed) + deg(added))`` plus one
-connectivity BFS over the CSR instead of ``O(n + k * deg)`` of networkx
-scans and subgraph copies.
+and per-node edge counts and strengths into the subgraph are maintained
+under each swap, so pricing a proposal costs a few adds and committing it
+``O(deg(removed) + deg(added))``, instead of ``O(n + k * deg)`` of
+networkx scans and subgraph copies.  Connectivity is exact without a
+search per proposal: a swap can only disconnect the subgraph when the
+removed node is one of its articulation points, which lazily computed
+Tarjan flags answer; the remaining cases run a BFS that stops as soon as
+every subgraph neighbour of the removed node is reached.
 
 The annealing loop itself lives in ``_anneal(..., state_factory)``, which
 draws every random number and makes every acceptance and cooling decision;
@@ -53,6 +57,7 @@ from repro.utils.graphs import (
     average_node_strength,
     connected_random_subgraph,
     ensure_graph,
+    induced_subgraph,
 )
 from repro.utils.rng import as_generator
 
@@ -153,7 +158,7 @@ def _anneal(graph, k, cooling, seed, max_steps, state_factory):
     _SA_RUN_DURATION.observe(run_seconds)
     return AnnealResult(
         nodes=best,
-        subgraph=nx.Graph(graph.subgraph(best)),
+        subgraph=induced_subgraph(graph, best),
         objective=best_obj,
         steps=steps,
         history=history,
@@ -167,9 +172,25 @@ class _IncrementalState:
     ``integers`` call for the removed node per attempt, one for the added
     node -- uniform over the sorted outside nodes with an edge into the
     kept subgraph -- whenever that list is non-empty) and computes the
-    exact AND-difference objective, but in
-    ``O(deg(removed) + deg(added))`` per proposal plus one CSR BFS for the
-    connectivity check -- no networkx scans, no subgraph copies.
+    exact AND-difference objective, with no networkx scans and no
+    subgraph copies:
+
+    - ``cnt[v]`` / ``sin[v]`` count and weigh ``v``'s edges into the
+      subgraph, so a swap is priced with a few adds and one
+      ``w(added, removed)`` lookup, and ``commit`` updates both in
+      ``O(deg(removed) + deg(added))``.
+    - Connectivity needs no search for most swaps.  The current subgraph
+      is connected (a connected start, and only connected swaps commit),
+      and ``added`` always has a neighbour in ``subgraph - removed``, so
+      the swap stays connected unless ``removed`` is an articulation point
+      of the subgraph.  A subgraph leaf never is one.  Otherwise the
+      articulation flags (iterative Tarjan over the CSR, restricted to the
+      subgraph) answer, computed lazily at the second connectivity query
+      against an unchanged subgraph -- a commit only drops them, so runs
+      where most proposals commit never pay for them.
+    - The remaining queries run a BFS from ``added`` that stops once every
+      in-subgraph neighbour of ``removed`` is reached: every component of
+      ``subgraph - removed`` holds one of them.
 
     Objective exactness: every ``|weight|`` is a dyadic rational, so the
     subgraph strength sum is maintained as an exact integer numerator over
@@ -233,20 +254,26 @@ class _IncrementalState:
             in_sub[i] = 1
         self._in_sub = in_sub
         cnt = [0] * n
+        sin = [0] * n
         for i in range(n):
-            cnt[i] = sum(in_sub[u] for u in nbr[indptr[i]:indptr[i + 1]])
+            for pos in range(indptr[i], indptr[i + 1]):
+                if in_sub[nbr[pos]]:
+                    cnt[i] += 1
+                    sin[i] += w_int[pos]
         self._cnt = cnt
+        self._sin = sin
         self._inside = members
         self._outside = [i for i in range(n) if not in_sub[i]]
         self._active = [i for i in self._outside if cnt[i] > 0]
         self._seen = [0] * n
         self._bfs_id = 0
+        self._disc = [0] * n
+        self._low = [0] * n
+        self._clock = 0
+        self._cut: bytearray | None = None  # articulation flags, None when stale
+        self._queries = 0  # connectivity queries against the current subgraph
 
-        s2 = 0
-        for i in members:
-            for pos in range(indptr[i], indptr[i + 1]):
-                if in_sub[nbr[pos]]:
-                    s2 += w_int[pos]
+        s2 = sum(sin[i] for i in members)
         self._s_int = (s2 >> 1) + sum(self_int[i] for i in members)
         self.objective = self._objective_of(self._s_int)
         self._pending: tuple[int, int, int] | None = None
@@ -264,7 +291,7 @@ class _IncrementalState:
         inside = self._inside
         if not self._outside:
             return self.objective
-        indptr, nbr, w_int = self._indptr, self._nbr, self._w_int
+        indptr, nbr = self._indptr, self._nbr
         in_sub, cnt, active = self._in_sub, self._cnt, self._active
         for _ in range(_MAX_SWAP_ATTEMPTS):
             removed = inside[int(rng.integers(len(inside)))]
@@ -287,37 +314,116 @@ class _IncrementalState:
                         break
             added = active[pick]
             if self._k == 1 or self._connected_after(removed, added):
-                out_w = self._self_int[removed]
-                for pos in range(indptr[removed], indptr[removed + 1]):
-                    if in_sub[nbr[pos]]:
-                        out_w += w_int[pos]
-                in_w = self._self_int[added]
-                for pos in range(indptr[added], indptr[added + 1]):
-                    u = nbr[pos]
-                    if in_sub[u] and u != removed:
-                        in_w += w_int[pos]
-                s_new = self._s_int - out_w + in_w
+                sin, self_int = self._sin, self._self_int
+                s_new = (
+                    self._s_int
+                    - self_int[removed] - sin[removed]
+                    + self_int[added] + sin[added] - self._weight(added, removed)
+                )
                 self._pending = (removed, added, s_new)
                 return self._objective_of(s_new)
         return self.objective
 
+    def _weight(self, u: int, v: int) -> int:
+        """Scaled ``|w(u, v)|``, 0 when the edge is absent."""
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        pos = bisect_left(self._nbr, v, lo, hi)
+        return self._w_int[pos] if pos < hi and self._nbr[pos] == v else 0
+
     def _connected_after(self, removed: int, added: int) -> bool:
-        """BFS over the CSR restricted to ``(subgraph - removed) + added``."""
+        """Whether ``(subgraph - removed) + added`` is connected."""
+        if self._cnt[removed] == 1:
+            return True  # a leaf is never an articulation point
+        cut = self._cut
+        if cut is None:
+            self._queries += 1
+            if self._queries < 2:
+                return self._reaches_neighbors(removed, added)
+            cut = self._cut = self._articulation_flags()
+        return not cut[removed] or self._reaches_neighbors(removed, added)
+
+    def _reaches_neighbors(self, removed: int, added: int) -> bool:
+        """BFS over the CSR from ``added`` through ``subgraph - removed``,
+        stopping once every in-subgraph neighbour of ``removed`` is reached."""
         indptr, nbr, in_sub = self._indptr, self._nbr, self._in_sub
         seen = self._seen
-        self._bfs_id += 1
-        mark = self._bfs_id
+        goal = self._bfs_id + 1
+        mark = self._bfs_id + 2
+        self._bfs_id = mark
+        for u in nbr[indptr[removed]:indptr[removed + 1]]:
+            if in_sub[u]:
+                seen[u] = goal
+        missing = self._cnt[removed]
         stack = [added]
         seen[added] = mark
-        visited = 1
         while stack:
             v = stack.pop()
             for u in nbr[indptr[v]:indptr[v + 1]]:
-                if seen[u] != mark and u != removed and (in_sub[u] or u == added):
-                    seen[u] = mark
-                    stack.append(u)
-                    visited += 1
-        return visited == self._k
+                if in_sub[u] and u != removed:
+                    tag = seen[u]
+                    if tag != mark:
+                        if tag == goal:
+                            missing -= 1
+                            if not missing:
+                                return True
+                        seen[u] = mark
+                        stack.append(u)
+        return False
+
+    def _articulation_flags(self) -> bytearray:
+        """Articulation points of the (connected) subgraph, by iterative
+        Tarjan over the CSR restricted to ``in_sub``.
+
+        Discovery times run on a clock shared across calls, so a node is
+        unvisited in this call iff its ``disc`` is at most the clock's value
+        on entry; no per-call arrays are cleared.
+        """
+        indptr, nbr, in_sub = self._indptr, self._nbr, self._in_sub
+        disc, low = self._disc, self._low
+        cut = bytearray(len(in_sub))
+        base = self._clock
+        root = self._inside[0]
+        clock = base + 1
+        disc[root] = low[root] = clock
+        path = [root]
+        scan = [indptr[root]]  # next CSR position to scan, per path entry
+        root_children = 0
+        while path:
+            v = path[-1]
+            pos, end = scan[-1], indptr[v + 1]
+            child = -1
+            while pos < end:
+                u = nbr[pos]
+                pos += 1
+                if in_sub[u]:
+                    d = disc[u]
+                    if d <= base:
+                        child = u
+                        break
+                    if d < low[v]:
+                        low[v] = d
+            if child >= 0:
+                scan[-1] = pos
+                clock += 1
+                disc[child] = low[child] = clock
+                path.append(child)
+                scan.append(indptr[child])
+                continue
+            path.pop()
+            scan.pop()
+            if path:
+                parent = path[-1]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if len(path) == 1:
+                    root_children += 1
+                elif low[v] >= disc[parent]:
+                    cut[parent] = 1
+        if root_children > 1:
+            cut[root] = 1
+        self._clock = clock
+        assert clock - base == self._k, "the current subgraph must be connected"
+        return cut
 
     # -- commit / snapshot -------------------------------------------------
 
@@ -326,33 +432,38 @@ class _IncrementalState:
             return
         removed, added, s_new = self._pending
         self._s_int = s_new
-        indptr, nbr = self._indptr, self._nbr
-        cnt, in_sub = self._cnt, self._in_sub
-        for u in nbr[indptr[removed]:indptr[removed + 1]]:
-            cnt[u] -= 1
-        for u in nbr[indptr[added]:indptr[added + 1]]:
-            cnt[u] += 1
+        self._cut = None
+        self._queries = 0
+        indptr, nbr, w_int = self._indptr, self._nbr, self._w_int
+        cnt, sin, in_sub = self._cnt, self._sin, self._in_sub
         in_sub[removed] = 0
         in_sub[added] = 1
+        for pos in range(indptr[removed], indptr[removed + 1]):
+            u = nbr[pos]
+            cnt[u] -= 1
+            sin[u] -= w_int[pos]
+        for pos in range(indptr[added], indptr[added + 1]):
+            u = nbr[pos]
+            cnt[u] += 1
+            sin[u] += w_int[pos]
         inside, outside, active = self._inside, self._outside, self._active
         del inside[bisect_left(inside, removed)]
         insort(inside, added)
         del outside[bisect_left(outside, added)]
         insort(outside, removed)
+        # `active` (outside nodes with an edge into the subgraph) changes
+        # only where a count crossed zero, plus the two swapped nodes.
         del active[bisect_left(active, added)]
-        touched = {removed}
-        touched.update(nbr[indptr[removed]:indptr[removed + 1]])
-        touched.update(nbr[indptr[added]:indptr[added + 1]])
-        for v in touched:
-            if in_sub[v]:
-                continue
-            pos = bisect_left(active, v)
-            present = pos < len(active) and active[pos] == v
-            wanted = cnt[v] > 0
-            if wanted and not present:
-                active.insert(pos, v)
-            elif present and not wanted:
-                del active[pos]
+        if cnt[removed]:
+            insort(active, removed)
+        for u in nbr[indptr[removed]:indptr[removed + 1]]:
+            if not cnt[u] and not in_sub[u]:
+                del active[bisect_left(active, u)]
+        for u in nbr[indptr[added]:indptr[added + 1]]:
+            if cnt[u] == 1 and not in_sub[u] and u != removed:
+                pos = bisect_left(active, u)
+                if pos == len(active) or active[pos] != u:
+                    active.insert(pos, u)
 
     def snapshot(self) -> set:
         labels = self._labels

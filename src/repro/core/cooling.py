@@ -12,6 +12,7 @@ Algorithm 1 supports two schedules (paper Sec. 4.4):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 __all__ = ["AdaptiveCooling", "ConstantCooling", "CoolingSchedule"]
@@ -65,15 +66,18 @@ class AdaptiveCooling(CoolingSchedule):
             raise ValueError("fast_alpha must cool at least as fast as slow_alpha")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        self._history: list[bool] = []
+        self.reset()
 
     def reset(self) -> None:
-        self._history = []
+        self._history: deque[bool] = deque(maxlen=self.window)
+        self._accepted = 0  # accepts in the window, kept beside it
 
     def next_temperature(self, temperature: float, accepted: bool) -> float:
-        self._history.append(accepted)
-        if len(self._history) > self.window:
-            self._history.pop(0)
-        acceptance_rate = sum(self._history) / len(self._history)
+        history = self._history
+        if len(history) == self.window:
+            self._accepted -= history[0]  # the append below evicts it
+        history.append(accepted)
+        self._accepted += accepted
+        acceptance_rate = self._accepted / len(history)
         alpha = self.slow_alpha + (self.fast_alpha - self.slow_alpha) * acceptance_rate
         return alpha * temperature

@@ -16,7 +16,12 @@ import networkx as nx
 import numpy as np
 
 from repro.core.annealer import AnnealResult, simulated_annealing
-from repro.utils.graphs import average_node_strength, ensure_graph, relabel_to_range
+from repro.utils.graphs import (
+    average_node_strength,
+    ensure_graph,
+    induced_subgraph,
+    relabel_to_range,
+)
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -138,6 +143,11 @@ class GraphReducer:
                     f"target_size must be in [{MIN_NODES}, {n}], got {target_size}"
                 )
             best = self._anneal_at_size(graph, target_size)
+            if best is None:
+                raise ValueError(
+                    f"target_size {target_size}: the graph has no connected "
+                    f"subgraph of that size"
+                )
             return self._build_result(graph, best)
 
         lo = max(MIN_NODES, int(np.ceil(self.min_keep_fraction * n)))
@@ -217,7 +227,7 @@ class GraphReducer:
         except TypeError:
             ordered = list(result.nodes)
         mapping = {node: index for index, node in enumerate(ordered)}
-        reduced = relabel_to_range(nx.Graph(graph.subgraph(result.nodes)))
+        reduced = relabel_to_range(induced_subgraph(graph, result.nodes))
         return ReductionResult(
             original_graph=graph,
             nodes=set(result.nodes),

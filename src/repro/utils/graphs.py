@@ -23,6 +23,7 @@ __all__ = [
     "connected_random_subgraph",
     "edge_list",
     "ensure_graph",
+    "induced_subgraph",
     "is_weighted",
     "relabel_to_range",
     "nonisomorphic_connected_subgraphs",
@@ -40,6 +41,28 @@ def ensure_graph(graph: nx.Graph) -> nx.Graph:
     if graph.number_of_nodes() == 0:
         raise ValueError("graph must contain at least one node")
     return graph
+
+
+def induced_subgraph(graph: nx.Graph, nodes) -> nx.Graph:
+    """``nx.Graph(graph.subgraph(nodes))`` without the subgraph view.
+
+    Same nodes, edges, iteration orders and attribute copies, but several
+    times faster: one pass over the kept nodes' rows instead of the view's
+    filtered lookups.  The node order follows the view's: the kept-node
+    set built as the view builds it when that set is under half the graph,
+    the graph's order otherwise.
+    """
+    shown = set(graph.nbunch_iter(nodes))
+    kept = list(shown) if 2 * len(shown) < len(graph) else [n for n in graph if n in shown]
+    sub = nx.Graph()
+    sub.add_nodes_from((node, graph.nodes[node]) for node in kept)
+    # Each edge once, first seen from its earlier kept endpoint: the order
+    # in which the view's adjacency listing would first add it.
+    sub.add_edges_from(
+        (u, v, data) for u, v, data in graph.edges(kept, data=True) if v in shown
+    )
+    sub.graph.update(graph.graph)
+    return sub
 
 
 def average_node_degree(graph: nx.Graph) -> float:

@@ -5,6 +5,8 @@
 - The incremental annealer must equal :func:`reference_simulated_annealing`
   (per-call networkx recomputation of :func:`and_difference_objective`,
   run through the library's own annealing driver) bit for bit.
+- ``AdaptiveCooling`` must give :class:`ReferenceAdaptiveCooling`'s
+  temperatures bit for bit.
 - Compiled lightcone plans must agree to 1e-12 with
   :func:`lightcone_expectation_reference`, which re-discovers structure
   and simulates every signature class on a full statevector per call.
@@ -19,6 +21,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.annealer import _anneal
+from repro.core.cooling import CoolingSchedule
 from repro.qaoa.expectation import coerce_params
 from repro.qaoa.fast_sim import qaoa_expectation_fast, qaoa_probabilities
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
@@ -184,6 +187,28 @@ class ReferenceState:
 def reference_simulated_annealing(graph, k, cooling="adaptive", seed=None, max_steps=None):
     """:func:`repro.core.annealer.simulated_annealing` on :class:`ReferenceState`."""
     return _anneal(graph, k, cooling, seed, max_steps, ReferenceState)
+
+
+class ReferenceAdaptiveCooling(CoolingSchedule):
+    """Adaptive cooling as first written: a list window trimmed with
+    ``pop(0)`` and an acceptance rate summed over the window every step."""
+
+    def __init__(self, slow_alpha: float = 0.99, fast_alpha: float = 0.90, window: int = 20):
+        self.slow_alpha = slow_alpha
+        self.fast_alpha = fast_alpha
+        self.window = window
+        self._history: list[bool] = []
+
+    def reset(self) -> None:
+        self._history = []
+
+    def next_temperature(self, temperature: float, accepted: bool) -> float:
+        self._history.append(accepted)
+        if len(self._history) > self.window:
+            self._history.pop(0)
+        acceptance_rate = sum(self._history) / len(self._history)
+        alpha = self.slow_alpha + (self.fast_alpha - self.slow_alpha) * acceptance_rate
+        return alpha * temperature
 
 
 # -- the lightcone plan ----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Tests for the AND-difference objective oracle and repro.core.cooling."""
 
 import networkx as nx
+import numpy as np
 import pytest
-from _kernel_oracles import and_difference_objective, subgraph_and
+from _kernel_oracles import ReferenceAdaptiveCooling, and_difference_objective, subgraph_and
 
+from repro.core.annealer import simulated_annealing
 from repro.core.cooling import AdaptiveCooling, ConstantCooling
 
 
@@ -92,6 +94,33 @@ class TestAdaptiveCooling:
             AdaptiveCooling(slow_alpha=0.9, fast_alpha=0.95)
         with pytest.raises(ValueError):
             AdaptiveCooling(window=0)
+
+    @pytest.mark.parametrize("window", [1, 20])
+    def test_temperatures_bit_identical_to_the_window_sum(self, window):
+        """The running accept count gives the summed window's temperatures
+        bit for bit, across a ``reset()`` between two runs."""
+        rng = np.random.default_rng(window)
+        fast = AdaptiveCooling(window=window)
+        reference = ReferenceAdaptiveCooling(window=window)
+        for run, accept_rate in enumerate((0.3, 0.8)):
+            fast.reset()
+            reference.reset()
+            t_fast = t_reference = 1.0
+            for accepted in rng.random(400 + 37 * run) < accept_rate:
+                t_fast = fast.next_temperature(t_fast, bool(accepted))
+                t_reference = reference.next_temperature(t_reference, bool(accepted))
+                assert t_fast.hex() == t_reference.hex()
+
+    def test_annealing_runs_identical_under_the_reference_schedule(self):
+        g = nx.erdos_renyi_graph(18, 0.3, seed=4)
+        for seed in (0, 1):
+            fast = simulated_annealing(g, 11, cooling=AdaptiveCooling(window=5), seed=seed)
+            reference = simulated_annealing(
+                g, 11, cooling=ReferenceAdaptiveCooling(window=5), seed=seed
+            )
+            assert fast.nodes == reference.nodes
+            assert fast.steps == reference.steps
+            assert fast.history == reference.history
 
     def test_temperature_always_decreases(self):
         schedule = AdaptiveCooling()

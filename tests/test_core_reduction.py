@@ -102,6 +102,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GraphReducer(seed=0).reduce(g, target_size=9)
 
+    def test_target_size_larger_than_every_component(self):
+        g = nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(4))
+        with pytest.raises(ValueError, match="target_size 6: .*no connected subgraph"):
+            GraphReducer(seed=0).reduce(g, target_size=6)
+        assert len(GraphReducer(seed=0).reduce(g, target_size=4).nodes) == 4
+
     def test_tiny_graph_falls_back_to_whole(self):
         g = nx.path_graph(3)
         result = GraphReducer(seed=0).reduce(g)

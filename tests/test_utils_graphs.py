@@ -17,6 +17,7 @@ from repro.utils.graphs import (
     connected_random_subgraph,
     edge_list,
     ensure_graph,
+    induced_subgraph,
     nonisomorphic_connected_subgraphs,
     relabel_to_range,
 )
@@ -95,6 +96,39 @@ class TestRelabelToRange:
     def test_already_ranged_is_identity_mapping(self):
         g = nx.path_graph(4)
         assert edge_list(relabel_to_range(g)) == edge_list(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=10**6),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+    labels=st.sampled_from(["int", "str"]),
+)
+def test_induced_subgraph_is_the_networkx_copy(n, seed, fraction, labels):
+    """Same nodes, edges, data and every iteration order as
+    ``nx.Graph(graph.subgraph(nodes))``, below and above half the graph."""
+    graph = nx.gnp_random_graph(n, 0.3, seed=seed)
+    if labels == "str":
+        graph = nx.relabel_nodes(graph, {v: f"q{(7 * v) % n}" for v in graph})
+    rng = np.random.default_rng(seed)
+    for u, v in graph.edges():
+        graph[u][v]["weight"] = float(rng.normal())
+    first = next(iter(graph))
+    graph.add_edge(first, first, weight=2.0)
+    graph.nodes[first]["field"] = 1.5
+    graph.graph["name"] = "g"
+    order = list(graph)
+    rng.shuffle(order)
+    nodes = set(order[: round(fraction * n)]) | {"absent"}
+    expected = nx.Graph(graph.subgraph(nodes))
+    got = induced_subgraph(graph, nodes)
+    assert list(got.nodes(data=True)) == list(expected.nodes(data=True))
+    assert list(got.edges(data=True)) == list(expected.edges(data=True))
+    assert [list(got.adj[v]) for v in got] == [list(expected.adj[v]) for v in expected]
+    assert got.graph == expected.graph
+    assert all(got.nodes[v] is not graph.nodes[v] for v in got)
+    assert all(got[u][v] is not graph[u][v] for u, v in got.edges())
 
 
 class TestIsConnectedSubset:
