@@ -58,6 +58,7 @@ from repro.utils.graphs import (
     connected_random_subgraph,
     ensure_graph,
     induced_subgraph,
+    sorted_labels,
 )
 from repro.utils.rng import as_generator
 
@@ -199,10 +200,7 @@ class _IncrementalState:
     """
 
     def __init__(self, graph: nx.Graph, start: set, target_and: float) -> None:
-        try:
-            labels = sorted(graph.nodes())
-        except TypeError:
-            labels = list(graph.nodes())
+        labels = sorted_labels(graph.nodes())
         index = {node: i for i, node in enumerate(labels)}
         n = len(labels)
         self._labels = labels

@@ -49,7 +49,7 @@ from repro.qaoa.optimizer import (
     multi_restart_optimize,
     restart_width,
 )
-from repro.utils.graphs import ensure_graph, relabel_to_range
+from repro.utils.graphs import ensure_graph, relabel_to_range, sorted_labels
 from repro.utils.rng import as_generator
 
 __all__ = ["RedQAOA", "RedQAOAResult", "check_config"]
@@ -263,10 +263,7 @@ class RedQAOA:
             ensure_graph(graph)
             instance = relabel_to_range(graph)
             target = MaxCutHamiltonian(instance)
-            try:
-                labels = sorted(graph.nodes())
-            except TypeError:
-                labels = list(graph.nodes())
+            labels = sorted_labels(graph.nodes())
         else:
             if self.noise is not None:
                 raise NotImplementedError(

@@ -21,6 +21,7 @@ from repro.utils.graphs import (
     ensure_graph,
     induced_subgraph,
     relabel_to_range,
+    sorted_labels,
 )
 from repro.utils.rng import as_generator
 
@@ -64,6 +65,8 @@ class ReductionResult:
     ones.  A problem reduction reduces the problem's field-aware coupling
     graph (``original_graph``) and also carries ``subproblem``, the
     problem restricted to ``nodes`` under the same relabeling.
+    ``banked`` marks a reduction taken from another instance's banked
+    distilled graph (the approximate cross-instance transfer).
     """
 
     original_graph: nx.Graph
@@ -73,6 +76,7 @@ class ReductionResult:
     and_ratio: float
     anneal_result: AnnealResult
     subproblem: object | None = None  # a repro.problems.DiagonalProblem
+    banked: bool = False
 
     @property
     def node_reduction(self) -> float:
@@ -222,11 +226,7 @@ class GraphReducer:
         return and_ratio(average_node_strength(graph), sub)
 
     def _build_result(self, graph: nx.Graph, result: AnnealResult) -> ReductionResult:
-        try:
-            ordered = sorted(result.nodes)
-        except TypeError:
-            ordered = list(result.nodes)
-        mapping = {node: index for index, node in enumerate(ordered)}
+        mapping = {node: index for index, node in enumerate(sorted_labels(result.nodes))}
         reduced = relabel_to_range(induced_subgraph(graph, result.nodes))
         return ReductionResult(
             original_graph=graph,

@@ -268,17 +268,17 @@ def _format(value: float) -> str:
 def snapshot_delta(current: dict, previous: dict) -> dict:
     """The change from ``previous`` to ``current`` (both snapshots).
 
-    Counters and histograms subtract elementwise; gauges pass the current
-    value through (a gauge delta is meaningless).  The result is what a
-    worker ships after each shard so the pump can ``merge`` it without
-    double counting across shards.
+    Counters and histograms subtract elementwise; gauges are left out (a
+    gauge delta is meaningless, and a forked process's gauges are stale
+    copies of its parent's that must never clobber them).  The result is
+    what a worker ships after each shard so the pump can ``merge`` it
+    without double counting across shards.
     """
     counters = {}
     for name, value in current.get("counters", {}).items():
         change = value - previous.get("counters", {}).get(name, 0.0)
         if change:
             counters[name] = change
-    gauges = dict(current.get("gauges", {}))
     histograms = {}
     for name, data in current.get("histograms", {}).items():
         prior = previous.get("histograms", {}).get(
@@ -293,7 +293,7 @@ def snapshot_delta(current: dict, previous: dict) -> dict:
             "sum": data["sum"] - prior["sum"],
             "count": count,
         }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
+    return {"counters": counters, "histograms": histograms}
 
 
 def quantile_from_buckets(buckets, counts, q: float) -> float | None:

@@ -20,7 +20,7 @@ import networkx as nx
 import numpy as np
 
 from repro.pooling.base import GraphPooler
-from repro.utils.graphs import ensure_graph
+from repro.utils.graphs import ensure_graph, relabel_to_range
 from repro.utils.rng import as_generator
 
 __all__ = ["HeavyEdgeCoarsening"]
@@ -63,7 +63,7 @@ class HeavyEdgeCoarsening(GraphPooler):
                 break  # no contractible edges left (isolated nodes only)
             for u, v in matching:
                 current = _contract(current, u, v)
-        return _relabel(current)
+        return relabel_to_range(current)
 
     def _heavy_matching(self, graph: nx.Graph, budget: int) -> list[tuple]:
         """Greedy maximal matching by descending weight, capped at ``budget``."""
@@ -97,12 +97,3 @@ def _contract(graph: nx.Graph, u, v) -> nx.Graph:
         else:
             result.add_edge(a, b, weight=w)
     return result
-
-
-def _relabel(graph: nx.Graph) -> nx.Graph:
-    try:
-        ordered = sorted(graph.nodes())
-    except TypeError:
-        ordered = list(graph.nodes())
-    mapping = {node: index for index, node in enumerate(ordered)}
-    return nx.relabel_nodes(graph, mapping)

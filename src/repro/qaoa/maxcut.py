@@ -14,7 +14,7 @@ import networkx as nx
 import numpy as np
 
 from repro.qaoa.hamiltonian import MaxCutHamiltonian
-from repro.utils.graphs import ensure_graph
+from repro.utils.graphs import ensure_graph, sorted_labels
 
 __all__ = [
     "approximation_ratio",
@@ -58,10 +58,7 @@ def brute_force_maxcut(graph: nx.Graph) -> tuple[float, dict]:
             "use repro.problems.local_search_value on maxcut_problem(graph) "
             "for larger graphs"
         )
-    try:
-        ordered = sorted(graph.nodes())
-    except TypeError:
-        ordered = list(graph.nodes())
+    ordered = sorted_labels(graph.nodes())
     hamiltonian = MaxCutHamiltonian(graph)
     best = int(np.argmax(hamiltonian.diagonal))
     assignment = {node: (best >> index) & 1 for index, node in enumerate(ordered)}

@@ -326,7 +326,6 @@ def _child_main(fn, p, starts, indices, maxiter, write_fd, parent, cpu) -> None:
         except Exception as exc:  # noqa: BLE001 - shipped to the caller, re-raised there
             outcome = ("error", _portable(exc))
         metrics = snapshot_delta(REGISTRY.snapshot(), baseline)
-        metrics["gauges"] = {}  # fork-time copies of the caller's gauges
         spans = collector.drain() if collector is not None else []
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(pickle.dumps((outcome, metrics, spans)))

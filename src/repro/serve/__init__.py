@@ -7,9 +7,12 @@ pool executes fingerprint-sharded jobs behind a persistent store.  The
 pieces:
 
 ``queue``
-    :class:`ShardedJobQueue` -- fingerprint-prefix shards, cheapest-first
-    priority, dedup-on-enqueue against in-flight work and the store,
-    bounded depth with retry-after backpressure, bounded retries with
+    :class:`ShardedJobQueue` -- the one admission path for the daemon and
+    ``red-qaoa batch`` alike, and the only code that reads, writes or
+    parks in the store: fingerprint-prefix shards, cheapest-first
+    priority, dedup on admission against this session's results,
+    in-flight work and the store (one store read per new fingerprint),
+    all-or-nothing retry-after backpressure, bounded retries with
     dead-letter parking.
 ``workers``
     :class:`InlineWorkerPool` / :class:`ProcessWorkerPool` plus the

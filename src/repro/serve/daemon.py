@@ -4,9 +4,9 @@ One process, three kinds of threads:
 
 - the **pump** (main thread) runs the same
   :func:`repro.serve.workers.pump` step as ``red-qaoa batch``: claim
-  shards for idle workers, resolve the events they stream back, write
-  completed results through the store (fsync'd before they are
-  acknowledged anywhere);
+  shards for idle workers and resolve the events they stream back into
+  the queue, which writes completed results through the store (fsync'd
+  before they are acknowledged anywhere);
 - the **accept loop** takes unix-socket connections;
 - one **connection thread** per client speaks the newline-delimited JSON
   protocol of :mod:`repro.serve.protocol` (submit / poll / stream /
@@ -14,7 +14,10 @@ One process, three kinds of threads:
 
 All shared state -- the :class:`~repro.serve.queue.ShardedJobQueue`,
 tickets, drain flags -- sits behind one lock; a condition variable wakes
-streaming connections whenever a result lands.
+streaming connections whenever a result lands.  The daemon keeps no
+results of its own: :meth:`~repro.serve.queue.ShardedJobQueue.admit`
+admits a manifest, and a ticket pins its entries to fingerprints whose
+results and dead letters the queue holds.
 
 Determinism: a submitted job's result is a pure function of its content
 fingerprint (:mod:`repro.service.jobs`), shard assignment is a pure
@@ -38,7 +41,7 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.health import HealthMonitor
@@ -55,7 +58,6 @@ from repro.serve.protocol import (
     ok_reply,
 )
 from repro.serve.queue import (
-    CACHED,
     DEFAULT_HIGH_WATER,
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_SHARD_PREFIX,
@@ -63,7 +65,7 @@ from repro.serve.queue import (
 )
 from repro.serve.workers import make_pool, pump
 from repro.service.campaign import manifest_specs
-from repro.service.jobs import JobResult, JobSpec
+from repro.service.jobs import JobSpec
 from repro.service.store import ResultStore
 
 __all__ = ["ServeDaemon", "Ticket"]
@@ -77,8 +79,6 @@ class Ticket:
 
     id: str
     specs: list[JobSpec]
-    cached: dict[str, JobResult] = field(default_factory=dict)
-    created: float = field(default_factory=time.monotonic)
 
     def entry(self, index: int) -> dict:
         spec = self.specs[index]
@@ -187,31 +187,20 @@ class ServeDaemon:
                     "draining: daemon no longer accepts submissions",
                     retry_after=None,
                 )
-            new = {
-                spec.fingerprint
-                for spec in specs
-                if self.queue.state_of(spec.fingerprint) == "unknown"
-                and self.queue.lookup(spec.fingerprint) is None
-            }
-            if self.queue.depth + len(new) > self.queue.high_water:
+            outcomes = self.queue.admit(specs)
+            if not all(outcome.accepted for outcome in outcomes):
                 return error_reply(
                     "backpressure: queue past its high-water mark",
-                    retry_after=self.queue.retry_after(),
+                    retry_after=outcomes[0].retry_after,
                 )
             ticket = Ticket(id=f"t-{next(self._ticket_ids):06d}", specs=specs)
-            statuses = []
-            for spec in specs:
-                outcome = self.queue.submit(spec)
-                statuses.append(outcome.status)
-                if outcome.status == CACHED:
-                    ticket.cached[outcome.fingerprint] = outcome.result
             self.tickets[ticket.id] = ticket
             self._landed.notify_all()
             return ok_reply(
                 ticket=ticket.id,
                 jobs=[
-                    {**ticket.entry(index), "status": status}
-                    for index, status in enumerate(statuses)
+                    {**ticket.entry(index), "status": outcome.status}
+                    for index, outcome in enumerate(outcomes)
                 ],
             )
 
@@ -298,7 +287,7 @@ class ServeDaemon:
         spec = ticket.specs[index]
         fingerprint = spec.fingerprint
         entry = ticket.entry(index)
-        result = ticket.cached.get(fingerprint) or self.queue.completed.get(fingerprint)
+        result = self.queue.result(fingerprint)
         if result is not None:
             entry["status"] = "done"
             fields = result.report_fields(result.assignment_for(spec))

@@ -1,13 +1,15 @@
 """Fingerprint-sharded job queue with dedup, priority, and backpressure.
 
-The serve layer's scheduling heart.  Jobs land in **shards** keyed by a
+The serve layer's scheduling heart, and the one place a job is admitted
+(:meth:`ShardedJobQueue.admit`, for the daemon and ``red-qaoa batch``
+alike) and its result or failure meets the store.  Jobs land in **shards** keyed by a
 fingerprint prefix (``shard_prefix`` hex characters, so 16^k shards):
 fingerprints are uniform hashes, so shards balance without any placement
 policy, and a job's shard is a pure function of its fingerprint -- the
 same job always lands in the same shard, on any daemon, on any day.
 Workers claim *whole shards* (see :mod:`repro.serve.workers`), which keeps
 every scheduling decision coarse and auditable, and -- because each job's
-result is a pure function of its fingerprint (the PR 5 contract in
+result is a pure function of its fingerprint (the purity contract in
 :mod:`repro.service.jobs`) -- provably unable to change any answer.
 
 Scheduling policy, all deterministic:
@@ -16,18 +18,21 @@ Scheduling policy, all deterministic:
   :func:`~repro.analysis.runtime.estimate_pipeline_cost` model (a shard's
   priority is its cheapest pending job; ties break on shard id), so small
   jobs stream results early no matter when they were submitted;
-- **dedup-on-enqueue**: a submitted fingerprint already pending, running,
+- **dedup-on-admission**: a fingerprint already pending, running,
   completed this session, or present in the
-  :class:`~repro.service.store.ResultStore` is never enqueued twice --
-  the submitter is told which of those it was;
-- **backpressure**: past ``high_water`` pending jobs, submissions are
-  rejected with a ``retry_after`` hint instead of being buffered without
-  bound -- the client backs off, the daemon never swells.
+  :class:`~repro.service.store.ResultStore` (read once per session) is
+  never enqueued twice -- the submitter is told which of those it was;
+- **backpressure**: a manifest whose new jobs would pass ``high_water``
+  pending jobs is rejected whole with a ``retry_after`` hint instead of
+  being buffered without bound -- the client backs off, the daemon never
+  swells.
 
-Failure handling is bounded and never wedges the queue: a failed or
-crashed-out job is requeued until its attempt budget (``max_attempts``)
-is spent, then **parked** as a dead-letter record (written through the
-store when one is attached) and the shard moves on.
+Completed results are written through the store unless marked
+``source="bank"`` (not their fingerprint's exact answer).  Failure
+handling is bounded and never wedges the queue: a failed or crashed-out
+job is requeued until its attempt budget (``max_attempts``) is spent,
+then **parked** as a dead-letter record (written through the store when
+one is attached) and the shard moves on.
 """
 
 from __future__ import annotations
@@ -153,9 +158,9 @@ class ShardedJobQueue:
     Parameters
     ----------
     store:
-        Optional :class:`~repro.service.store.ResultStore`.  Consulted for
-        dedup-on-enqueue, written through on completion, and the home of
-        dead-letter records.
+        Optional :class:`~repro.service.store.ResultStore`.  Read once per
+        new fingerprint on admission, written through with every exact
+        completed result, and the home of dead-letter records.
     shard_prefix:
         Fingerprint hex characters that name a shard (1 -> 16 shards).
     high_water:
@@ -190,6 +195,9 @@ class ShardedJobQueue:
         self.reductions = reductions
         self.completed: dict[str, JobResult] = {}
         self.dead: dict[str, dict] = {}
+        # fingerprint -> the store's answer (a result, or None on a miss):
+        # each fingerprint costs one store read per session
+        self._store_reads: dict[str, JobResult | None] = {}
         self.submitted = 0
         self.deduped = 0
         self.rejected = 0
@@ -260,48 +268,72 @@ class ShardedJobQueue:
 
     # -- submission ----------------------------------------------------------
 
-    def lookup(self, fingerprint: str) -> JobResult | None:
-        """A known result: this session's completions, then the store."""
+    def result(self, fingerprint: str) -> JobResult | None:
+        """A result this session knows: a completion, else a store hit."""
         found = self.completed.get(fingerprint)
-        if found is None and self.store is not None:
-            found = self.store.get(fingerprint)
-        return found
+        return found if found is not None else self._store_reads.get(fingerprint)
 
-    def submit(self, spec: JobSpec) -> SubmitOutcome:
-        """Admit one spec: dedup, then backpressure, then enqueue."""
-        fingerprint = spec.fingerprint
-        self.submitted += 1
-        _SUBMITTED.inc()
-        found = self.lookup(fingerprint)
-        if found is not None:
-            self.deduped += 1
-            _DEDUPED.inc()
-            return SubmitOutcome(CACHED, fingerprint, result=found)
-        shard = self.shard_of(fingerprint)
-        if fingerprint in self._running or fingerprint in self._pending.get(shard, {}):
-            self.deduped += 1
-            _DEDUPED.inc()
-            return SubmitOutcome(INFLIGHT, fingerprint)
-        if self.depth >= self.high_water:
-            self.rejected += 1
-            _REJECTED.inc()
-            return SubmitOutcome(REJECTED, fingerprint, retry_after=self.retry_after())
-        job = QueuedJob(
-            spec=spec,
-            fingerprint=fingerprint,
-            shard=shard,
-            cost=estimate_pipeline_cost(
-                spec.num_qubits,
-                p=spec.p,
-                restarts=spec.restarts,
-                maxiter=spec.maxiter,
-                finetune_maxiter=spec.finetune_maxiter,
-            ),
-            enqueued_ns=time.perf_counter_ns(),
-        )
-        self._pending.setdefault(shard, {})[fingerprint] = job
+    def admit(self, specs) -> list[SubmitOutcome]:
+        """Admit a manifest all or nothing; one outcome per entry, in order.
+
+        Dedup first (this session's results, in-flight work, then one
+        store read per fingerprint never seen), then backpressure: if the
+        new jobs would pass ``high_water``, every entry is ``REJECTED``.
+        """
+        specs = list(specs)
+        self.submitted += len(specs)
+        _SUBMITTED.inc(len(specs))
+        new: dict[str, JobSpec] = {}
+        for spec in specs:
+            fingerprint = spec.fingerprint
+            if fingerprint in new or fingerprint in self.completed or fingerprint in self._running:
+                continue
+            if fingerprint in self._pending.get(self.shard_of(fingerprint), {}):
+                continue
+            if fingerprint not in self._store_reads and self.store is not None:
+                self._store_reads[fingerprint] = self.store.get(fingerprint)
+            if self._store_reads.get(fingerprint) is None:
+                new[fingerprint] = spec
+        if new and self.depth + len(new) > self.high_water:
+            self.rejected += len(specs)
+            _REJECTED.inc(len(specs))
+            retry_after = self.retry_after()
+            return [SubmitOutcome(REJECTED, s.fingerprint, retry_after=retry_after) for s in specs]
+        outcomes = []
+        for spec in specs:
+            fingerprint = spec.fingerprint
+            if new.pop(fingerprint, None) is None:
+                self.deduped += 1
+                _DEDUPED.inc()
+                found = self.result(fingerprint)
+                status = INFLIGHT if found is None else CACHED
+                outcomes.append(SubmitOutcome(status, fingerprint, result=found))
+                continue
+            shard = self.shard_of(fingerprint)
+            self._pending.setdefault(shard, {})[fingerprint] = QueuedJob(
+                spec=spec,
+                fingerprint=fingerprint,
+                shard=shard,
+                cost=estimate_pipeline_cost(
+                    spec.num_qubits,
+                    p=spec.p,
+                    restarts=spec.restarts,
+                    maxiter=spec.maxiter,
+                    finetune_maxiter=spec.finetune_maxiter,
+                ),
+                enqueued_ns=time.perf_counter_ns(),
+            )
+            outcomes.append(SubmitOutcome(QUEUED, fingerprint))
         _DEPTH.set(self.depth)
-        return SubmitOutcome(QUEUED, fingerprint)
+        return outcomes
+
+    def restart_wait_clocks(self) -> None:
+        """Stamp every pending job as enqueued now (the batch scheduler's
+        phase-1 reductions run after admission and are not queue wait)."""
+        now = time.perf_counter_ns()
+        for jobs in self._pending.values():
+            for job in jobs.values():
+                job.enqueued_ns = now
 
     # -- claiming ------------------------------------------------------------
 
@@ -348,15 +380,15 @@ class ShardedJobQueue:
     # -- resolution ----------------------------------------------------------
 
     def complete(self, claim: ShardClaim, fingerprint: str, result: JobResult) -> None:
-        """One job of a claim finished; durable (when a store is attached)
-        before this returns."""
+        """One job of a claim finished; an exact result is durable (when a
+        store is attached) before this returns."""
         self._running.pop(fingerprint, None)
         claim.done.add(fingerprint)
         claim.progress_ns = time.perf_counter_ns()
         self.completed[fingerprint] = result
         _COMPLETED.inc()
         _RUNNING.set(self.num_running)
-        if self.store is not None:
+        if self.store is not None and result.source != "bank":
             self.store.put(result)
 
     def fail(self, claim: ShardClaim, fingerprint: str, error: str) -> str:

@@ -270,11 +270,8 @@ def _process_worker_main(
             conn.send((kind, claim_id, fingerprint, payload, spans))
         # Ship this claim's metrics as a delta against the pre-claim
         # snapshot, so the pump can merge without double counting (the
-        # fork-inherited baseline values cancel out).  Gauges are dropped:
-        # a worker's fork-time gauge values are stale copies of the
-        # daemon's own and must never clobber them.
+        # fork-inherited baseline values cancel out; gauges never ship).
         delta = snapshot_delta(REGISTRY.snapshot(), baseline)
-        delta["gauges"] = {}
         conn.send(("done", claim_id, None, None, delta))
     conn.close()
 
@@ -659,9 +656,8 @@ def pump(
     return progressed
 
 
-def drain(queue: ShardedJobQueue, pool, on_result=None, on_dead=None, tracer=None) -> dict:
-    """Pump until the queue is idle; returns ``queue.completed``."""
+def drain(queue: ShardedJobQueue, pool, on_result=None, on_dead=None, tracer=None) -> None:
+    """Pump until the queue is idle."""
     claims: dict[int, ShardClaim] = {}
     while not queue.is_idle():
         pump(queue, pool, claims, on_result=on_result, on_dead=on_dead, tracer=tracer)
-    return queue.completed

@@ -15,10 +15,12 @@ plans, and previously computed results.  The pieces:
     :class:`ResultStore` -- append-only, fsync'd, schema-versioned JSONL
     keyed by fingerprint; repeated jobs are free across process restarts.
 ``scheduler``
-    :class:`BatchScheduler` -- the one batch entry point: dedups
-    exact/isomorphic duplicates, shares reductions per instance (and,
-    given a reduction bank, across similar instances) and compiled plans
-    per structure, orders execution by a cost model, streams bit-identical
+    :class:`BatchScheduler` -- the one batch entry point: admits the
+    manifest through the serve layer's queue (which dedups
+    exact/isomorphic duplicates, serves stored results, stores new ones
+    and parks failures), shares reductions per instance (and, given a
+    reduction bank, across similar instances) and compiled plans per
+    structure, orders execution by a cost model, streams bit-identical
     per-job results regardless of grouping, and reports per-label
     aggregates.
 ``campaign``

@@ -306,7 +306,7 @@ class JobSpec:
                 payload = {
                     "kind": "graph",
                     "n": len(ordering),
-                    "edges": [list(edge) for edge in _edges_under_identity(instance)],
+                    "edges": [list(edge) for edge in weighted_edge_list(instance)],
                 }
             else:
                 ordering, instance = canonical_problem_form(self.problem)
@@ -388,11 +388,6 @@ class JobSpec:
         )
 
 
-def _edges_under_identity(graph: nx.Graph) -> tuple:
-    """Weighted edge list of an already canonically labeled graph."""
-    return weighted_edge_list(graph)
-
-
 # -- job results ---------------------------------------------------------------
 
 
@@ -405,7 +400,9 @@ class JobResult:
     :meth:`assignment_for` maps it back onto a spec's own labels.  All
     floats survive the JSON store round trip exactly (``repr``-based
     encoding), so resumed results compare bit-identical to recomputed
-    ones.
+    ones.  ``source`` says where the result came from: ``"computed"``,
+    ``"store"``, or ``"bank"`` for a run on another instance's banked
+    reduction (approximate, so never stored).
     """
 
     fingerprint: str
@@ -441,6 +438,7 @@ class JobResult:
             and_ratio=float(reduction.and_ratio),
             reduced_evaluations=result.num_reduced_evaluations,
             original_evaluations=result.num_original_evaluations,
+            source="bank" if reduction.banked else "computed",
         )
 
     def assignment_for(self, spec: JobSpec) -> dict:

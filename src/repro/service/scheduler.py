@@ -3,13 +3,16 @@
 :class:`BatchScheduler` turns a manifest of N job specs into the minimum
 amount of actual work:
 
-1. **dedup** -- specs are grouped by fingerprint, so exact and isomorphic
-   duplicates execute once (isomorphic jobs share a fingerprint because
-   execution is canonical, see :mod:`repro.service.jobs`);
-2. **store** -- fingerprints already in the persistent
+1. **admission** -- every manifest entry enters the
+   :class:`~repro.serve.queue.ShardedJobQueue` through
+   :meth:`~repro.serve.queue.ShardedJobQueue.admit`, the path the
+   ``red-qaoa serve`` daemon uses: specs dedup by fingerprint, so exact
+   and isomorphic duplicates execute once (isomorphic jobs share a
+   fingerprint because execution is canonical, see
+   :mod:`repro.service.jobs`), and fingerprints already in the persistent
    :class:`~repro.service.store.ResultStore` are served from disk, so a
    resumed campaign re-runs nothing;
-3. **shared reductions** -- pending jobs are grouped by instance
+2. **shared reductions** -- pending jobs are grouped by instance
    fingerprint and each instance is distilled once (jobs that scan
    optimizer configs over one instance share its SA reduction), in sorted
    instance-fingerprint order so any bank state is independent of manifest
@@ -18,15 +21,17 @@ amount of actual work:
    first -- an instance no exact engine can price is not reduced, and its
    jobs fail at dispatch -- and then :meth:`~repro.core.pipeline.RedQAOA.reduce`
    distills it, the same reduction the job's run would make;
-4. **shared plans** -- one :class:`~repro.qaoa.lightcone.PlanCache` serves
+3. **shared plans** -- one :class:`~repro.qaoa.lightcone.PlanCache` serves
    every pipeline, so structurally identical graphs compile one lightcone
    plan across the whole batch;
-5. **cost-ordered pooled execution** -- remaining jobs run through the
-   :mod:`repro.serve` worker pool (the same path the ``red-qaoa serve``
-   daemon uses): fingerprint-sharded claims, cheapest-shard-first by the
+4. **cost-ordered pooled execution** -- the queued jobs run through the
+   :mod:`repro.serve` worker pool (the same path the daemon uses):
+   fingerprint-sharded claims, cheapest-shard-first by the
    :func:`~repro.analysis.runtime.estimate_pipeline_cost` model,
    optionally on N worker processes -- streaming early results without
-   affecting any of them.
+   affecting any of them.  The queue writes each result through the store
+   as it lands; a failed job is parked there as a dead letter, as under
+   ``serve``, before :class:`JobFailedError` is raised.
 
 Every form of sharing above is *result-neutral*: per-job results are a
 pure function of the job fingerprint, so batched execution, N sequential
@@ -40,7 +45,8 @@ is close, not equal) for skipping the annealing search; it stays
 deterministic for a fixed manifest *set* because reductions are processed
 in sorted instance-fingerprint order.  The bank only banks: a miss reduces
 through the job's pipeline as in exact mode, then banks the result.  Jobs
-served from the bank never reach the store, which holds exact results only.
+served from the bank carry ``source="bank"`` and never reach the store,
+which holds exact results only.
 
 The :class:`BatchReport` also aggregates the outcome per label (or kind)
 and, when a store backed the run, summarizes its accesses -- the JSON
@@ -60,7 +66,7 @@ from repro.core.reduction import ReductionResult, and_ratio
 from repro.obs.trace import get_tracer, trace_job
 from repro.qaoa.expectation import EngineLimitError
 from repro.qaoa.lightcone import PlanCache
-from repro.serve.queue import ShardedJobQueue
+from repro.serve.queue import QUEUED, ShardedJobQueue
 from repro.serve.workers import drain, make_pool, pool_kind
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.store import ResultStore
@@ -162,10 +168,11 @@ class BatchScheduler:
     Parameters
     ----------
     store:
-        Optional :class:`~repro.service.store.ResultStore`; completed jobs
-        are written through it and found jobs skip execution entirely.  A
-        job whose instance was served a banked cross-instance reduction is
-        not written: its result is not its fingerprint's exact answer.
+        Optional :class:`~repro.service.store.ResultStore`, handed to the
+        batch's queue: found jobs skip execution entirely, completed jobs
+        are written through it and a failed job is parked in it.  A job
+        whose instance was served a banked cross-instance reduction is not
+        written: its result is not its fingerprint's exact answer.
     reduction_cache:
         ``None`` (default) shares reductions only between jobs whose
         instance fingerprints match -- bit-identity preserved.  A
@@ -212,23 +219,15 @@ class BatchScheduler:
             raise ValueError("batch has no jobs")
         start = time.perf_counter()
         plan_hits0, plan_misses0 = self.plan_cache.hits, self.plan_cache.misses
-
-        unique: dict[str, JobSpec] = {}
-        occurrences: dict[str, list[int]] = {}
-        for index, spec in enumerate(specs):
-            fingerprint = spec.fingerprint
-            unique.setdefault(fingerprint, spec)
-            occurrences.setdefault(fingerprint, []).append(index)
-
-        results: dict[str, JobResult] = {}
-        store_hits = 0
-        if self.store is not None:
-            for fingerprint in unique:
-                found = self.store.get(fingerprint)
-                if found is not None:
-                    results[fingerprint] = found
-                    store_hits += 1
-        pending = [fp for fp in unique if fp not in results]
+        reductions: dict[str, object] = {}  # filled by phase 1, read at claim time
+        queue = ShardedJobQueue(
+            store=self.store,
+            high_water=len(specs),
+            max_attempts=1,
+            reductions=reductions,
+        )
+        outcomes = queue.admit(specs)
+        pending = [spec for spec, outcome in zip(specs, outcomes) if outcome.status == QUEUED]
 
         # Phase 1: one reduction per pending instance, in sorted
         # instance-fingerprint order (bank state independent of manifest
@@ -236,26 +235,23 @@ class BatchScheduler:
         # pure functions anyway).  An instance whose first job's engine
         # dispatch fails is not reduced: that job fails at dispatch in
         # phase 2, and any sibling job reduces inside its own pipeline.
-        by_instance: dict[str, list[str]] = {}
-        for fingerprint in pending:
-            key = unique[fingerprint].instance_fingerprint
-            by_instance.setdefault(key, []).append(fingerprint)
-        reductions: dict[str, object] = {}
-        reduction_reuses = 0
-        banked_instances: set[str] = set()
+        by_instance: dict[str, list[JobSpec]] = {}
+        for spec in pending:
+            by_instance.setdefault(spec.instance_fingerprint, []).append(spec)
+        reduction_reuses = cross_hits = 0
         for instance_fp in sorted(by_instance):
-            spec = unique[by_instance[instance_fp][0]]
+            spec = by_instance[instance_fp][0]
             instance = spec.canonical().instance
             cross = self.reduction_cache is not None and spec.graph is not None
             banked = self.reduction_cache.lookup(instance) if cross else None
             if banked is not None:
                 reduction = _reduction_from_bank(instance, banked)
-                banked_instances.add(instance_fp)
+                cross_hits += 1
             else:
                 # Phase-1 reductions get their own mini span trees (root
                 # named "job" like every tree, so one validator covers
-                # both): they run before any queue exists, so there is no
-                # enqueue/claim timeline to stitch them into.  A plan the
+                # both): they run before any job is claimed, so there is
+                # no claim timeline to stitch them into.  A plan the
                 # dispatch compiles lands in the shared plan cache.
                 pipeline = spec.pipeline(plan_cache=self.plan_cache)
                 with trace_job(f"phase1:{instance_fp[:12]}", stage="reduction"):
@@ -268,30 +264,14 @@ class BatchScheduler:
                     self.reduction_cache.bank(reduction)
             reductions[instance_fp] = reduction
             reduction_reuses += len(by_instance[instance_fp]) - 1
+        queue.restart_wait_clocks()
 
         # Phase 2: execution through the serve worker pool -- the same
         # sharded-claim path the daemon runs.  Shards are claimed
         # cheapest-first by estimate_pipeline_cost (results stream early);
         # neither sharding nor worker count can affect any result, only
-        # when each one appears.  A failed job surfaces as an exception,
-        # as the pre-pool sequential loop surfaced it.
-        queue = ShardedJobQueue(
-            high_water=max(1, len(pending)),
-            max_attempts=1,
-            reductions=reductions,
-        )
-        for fingerprint in pending:
-            outcome = queue.submit(unique[fingerprint])
-            assert outcome.accepted  # high_water covers the whole batch
-
-        def landed(spec, result):
-            results[result.fingerprint] = result
-            # a bank-served result is not its fingerprint's exact answer
-            if self.store is not None and spec.instance_fingerprint not in banked_instances:
-                self.store.put(result)
-            if on_result is not None:
-                on_result(spec, result)
-
+        # when each one appears.  A failed job is parked by the queue and
+        # then surfaces as an exception.
         def dead(spec, error):
             raise JobFailedError(f"job {spec.label or spec.fingerprint} failed: {error}")
 
@@ -303,15 +283,15 @@ class BatchScheduler:
             trace=tracer is not None,
         )
         try:
-            drain(queue, pool, on_result=landed, on_dead=dead, tracer=tracer)
+            drain(queue, pool, on_result=on_result, on_dead=dead, tracer=tracer)
         finally:
             pool.close()
 
         views = []
-        first = {fp: positions[0] for fp, positions in occurrences.items()}
+        seen: set[str] = set()
         for index, spec in enumerate(specs):
             fingerprint = spec.fingerprint
-            result = results[fingerprint]
+            result = queue.result(fingerprint)
             views.append(
                 JobView(
                     index=index,
@@ -319,20 +299,21 @@ class BatchScheduler:
                     kind=spec.kind,
                     fingerprint=fingerprint,
                     instance_fingerprint=spec.instance_fingerprint,
-                    source=result.source if index == first[fingerprint] else "dedup",
+                    source="dedup" if fingerprint in seen else result.source,
                     result=result,
                     assignment=result.assignment_for(spec),
                 )
             )
+            seen.add(fingerprint)
         return BatchReport(
             num_jobs=len(specs),
-            num_unique=len(unique),
-            num_instances=len({spec.instance_fingerprint for spec in unique.values()}),
-            store_hits=store_hits,
+            num_unique=len(seen),
+            num_instances=len({spec.instance_fingerprint for spec in specs}),
+            store_hits=sum(view.source == "store" for view in views),
             store_misses=len(pending) if self.store is not None else 0,
             computed=len(pending),
             reduction_reuses=reduction_reuses,
-            reduction_cross_hits=len(banked_instances),
+            reduction_cross_hits=cross_hits,
             plan_hits=self.plan_cache.hits - plan_hits0,
             plan_misses=self.plan_cache.misses - plan_misses0,
             seconds=time.perf_counter() - start,
@@ -396,4 +377,5 @@ def _reduction_from_bank(graph: nx.Graph, banked) -> ReductionResult:
             steps=0,
             history=[0.0],
         ),
+        banked=True,
     )

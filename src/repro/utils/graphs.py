@@ -27,6 +27,7 @@ __all__ = [
     "is_weighted",
     "relabel_to_range",
     "nonisomorphic_connected_subgraphs",
+    "sorted_labels",
 ]
 
 
@@ -104,19 +105,20 @@ def edge_list(graph: nx.Graph) -> list[tuple[int, int]]:
     return sorted((min(u, v), max(u, v)) for u, v in graph.edges())
 
 
-def relabel_to_range(graph: nx.Graph) -> nx.Graph:
-    """Return a copy of ``graph`` with nodes relabeled to ``0..n-1``.
-
-    Labels are assigned in sorted order of the original labels when the
-    labels are sortable, and in iteration order otherwise, so the mapping is
-    deterministic for a given graph.
-    """
-    ensure_graph(graph)
+def sorted_labels(nodes) -> list:
+    """``nodes`` in sorted order when the labels are sortable, in iteration
+    order otherwise -- deterministic for a given graph either way."""
     try:
-        ordered = sorted(graph.nodes())
+        return sorted(nodes)
     except TypeError:
-        ordered = list(graph.nodes())
-    mapping = {node: index for index, node in enumerate(ordered)}
+        return list(nodes)
+
+
+def relabel_to_range(graph: nx.Graph) -> nx.Graph:
+    """Return a copy of ``graph`` with nodes relabeled to ``0..n-1``
+    in :func:`sorted_labels` order."""
+    ensure_graph(graph)
+    mapping = {node: index for index, node in enumerate(sorted_labels(graph.nodes()))}
     return nx.relabel_nodes(graph, mapping)
 
 

@@ -49,7 +49,7 @@ def _drain_traced(pool, specs, trace_path, max_attempts: int = 3):
     tracer = Tracer(trace_path)
     queue = ShardedJobQueue(max_attempts=max_attempts)
     for spec in specs:
-        assert queue.submit(spec).accepted
+        assert queue.admit([spec])[0].accepted
     got, deads = {}, {}
     try:
         drain(

@@ -274,7 +274,7 @@ def restart_pids_per_job(pool, tmp_path) -> list[set[int]]:
     ]
     queue = ShardedJobQueue()
     for spec in specs:
-        assert queue.submit(spec).accepted
+        assert queue.admit([spec])[0].accepted
     path = tmp_path / "trace.jsonl"
     try:
         drain(queue, pool, on_result=lambda spec, r: None, on_dead=lambda spec, e: None,

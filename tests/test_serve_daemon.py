@@ -153,6 +153,40 @@ class TestLifecycle:
             assert [job["status"] for job in reply["jobs"]] == ["cached"] * 2
             assert daemon.queue.stats()["completed"] == 0  # nothing executed
 
+    def test_each_new_fingerprint_reads_the_store_once(self, tmp_path):
+        """k new fingerprints (one entry repeated) move the store by (0, k)
+        misses and the store counters by the same; a fresh daemon on the
+        same store answers them with exactly k hits."""
+        from repro.obs.metrics import REGISTRY
+
+        def counts(daemon):
+            return (
+                daemon.store.hits,
+                daemon.store.misses,
+                REGISTRY.get("redqaoa_store_hits_total").value,
+                REGISTRY.get("redqaoa_store_misses_total").value,
+            )
+
+        manifest = _manifest(count=3)
+        manifest["jobs"].append(dict(manifest["jobs"][0]))  # an exact repeat
+        with _daemon(tmp_path) as (daemon, client):
+            h0, m0, mh0, mm0 = counts(daemon)
+            ticket = client.submit(manifest)["ticket"]
+            assert counts(daemon) == (h0, m0 + 3, mh0, mm0 + 3)
+            assert daemon.queue.stats()["submitted"] == 4
+            assert daemon.queue.stats()["deduped"] == 1
+            client.wait(ticket, timeout=120)
+            client.submit(manifest)  # this session's results: no store read
+            assert counts(daemon) == (h0, m0 + 3, mh0, mm0 + 3)
+        with _daemon(tmp_path) as (daemon, client):
+            h0, m0, mh0, mm0 = counts(daemon)
+            reply = client.submit(manifest)
+            assert [job["status"] for job in reply["jobs"]] == ["cached"] * 4
+            assert counts(daemon) == (h0 + 3, m0, mh0 + 3, mm0)
+            final = client.poll(reply["ticket"])
+            assert final["counts"] == {"done": 4}
+            assert {job["result"]["source"] for job in final["jobs"]} == {"store"}
+
     def test_stream_pushes_every_result_then_done(self, tmp_path):
         manifest = _manifest(count=3)
         with _daemon(tmp_path) as (daemon, client):

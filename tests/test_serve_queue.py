@@ -53,7 +53,7 @@ class TestSharding:
         queue = ShardedJobQueue(shard_prefix=1)
         specs = [_spec(seed) for seed in range(8)]
         for spec in specs:
-            assert queue.submit(spec).status == "queued"
+            assert queue.admit([spec])[0].status == "queued"
         seen = {}
         while True:
             claim = queue.claim_next()
@@ -71,15 +71,15 @@ class TestDedup:
     def test_inflight_duplicate_is_not_enqueued_twice(self):
         queue = ShardedJobQueue()
         spec = _spec(0)
-        assert queue.submit(spec).status == "queued"
-        second = queue.submit(spec)
+        assert queue.admit([spec])[0].status == "queued"
+        second = queue.admit([spec])[0]
         assert second.status == "inflight"
         assert queue.depth == 1
         assert queue.deduped == 1
         # still inflight while claimed/running
         claim = queue.claim_next()
         assert claim is not None
-        assert queue.submit(spec).status == "inflight"
+        assert queue.admit([spec])[0].status == "inflight"
         assert queue.state_of(spec.fingerprint) == "running"
 
     def test_stored_duplicate_is_served_from_the_store(self, tmp_path):
@@ -87,7 +87,7 @@ class TestDedup:
         spec = _spec(0)
         store.put(_fake_result(spec))
         queue = ShardedJobQueue(store=store)
-        outcome = queue.submit(spec)
+        outcome = queue.admit([spec])[0]
         assert outcome.status == "cached"
         assert outcome.result is not None
         assert outcome.result.fingerprint == spec.fingerprint
@@ -96,21 +96,75 @@ class TestDedup:
     def test_session_completion_dedups_without_a_store(self):
         queue = ShardedJobQueue()
         spec = _spec(0)
-        queue.submit(spec)
+        queue.admit([spec])
         claim = queue.claim_next()
         queue.complete(claim, spec.fingerprint, _fake_result(spec))
         queue.finish_claim(claim)
-        outcome = queue.submit(spec)
+        outcome = queue.admit([spec])[0]
         assert outcome.status == "cached"
         assert queue.state_of(spec.fingerprint) == "completed"
+
+
+class TestAdmission:
+    def test_one_store_read_per_new_fingerprint(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        stored, fresh = _spec(0), _spec(1)
+        store.put(_fake_result(stored))
+        queue = ShardedJobQueue(store=store)
+        manifest = [stored, fresh, stored, fresh]
+        outcomes = queue.admit(manifest)
+        assert [o.status for o in outcomes] == ["cached", "queued", "cached", "inflight"]
+        assert outcomes[0].result.source == "store"
+        assert (store.hits, store.misses) == (1, 1)
+        assert (queue.submitted, queue.deduped) == (4, 3)  # a store hit dedups too
+        # the session remembers both answers: a later ticket reads nothing
+        assert [o.status for o in queue.admit(manifest)] == ["cached", "inflight"] * 2
+        assert (store.hits, store.misses) == (1, 1)
+        assert queue.result(stored.fingerprint).source == "store"
+        assert queue.stats()["completed"] == 0  # store hits are not completions
+
+    def test_all_or_nothing_backpressure(self):
+        queue = ShardedJobQueue(high_water=2)
+        outcomes = queue.admit([_spec(0), _spec(1), _spec(2)])
+        assert [o.status for o in outcomes] == ["rejected"] * 3
+        assert all(o.retry_after >= 1.0 for o in outcomes)
+        assert queue.depth == 0 and queue.rejected == 3
+        # repeats count once against the mark
+        outcomes = queue.admit([_spec(0), _spec(1), _spec(0)])
+        assert [o.status for o in outcomes] == ["queued", "queued", "inflight"]
+        # a manifest adding no new work is never refused
+        assert queue.admit([_spec(1)])[0].status == "inflight"
+
+    def test_bank_served_results_are_not_written_through(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        queue = ShardedJobQueue(store=store)
+        exact, banked = _spec(0), _spec(1)
+        queue.admit([exact, banked])
+        claims = [queue.claim_next() for _ in range(2)]
+        for claim in filter(None, claims):
+            for job in claim.jobs:
+                result = _fake_result(job.spec)
+                if job.spec is banked:
+                    result.source = "bank"
+                queue.complete(claim, job.fingerprint, result)
+        assert store.fingerprints() == [exact.fingerprint]
+        assert queue.result(banked.fingerprint).source == "bank"
+
+    def test_restart_wait_clocks_restamps_pending_jobs(self):
+        queue = ShardedJobQueue()
+        queue.admit([_spec(0)])
+        (job,) = queue._pending[queue.shard_of(_spec(0).fingerprint)].values()
+        admitted = job.enqueued_ns
+        queue.restart_wait_clocks()
+        assert job.enqueued_ns > admitted
 
 
 class TestBackpressure:
     def test_rejection_past_high_water_with_retry_after(self):
         queue = ShardedJobQueue(high_water=2)
-        assert queue.submit(_spec(0)).accepted
-        assert queue.submit(_spec(1)).accepted
-        outcome = queue.submit(_spec(2))
+        assert queue.admit([_spec(0)])[0].accepted
+        assert queue.admit([_spec(1)])[0].accepted
+        outcome = queue.admit([_spec(2)])[0]
         assert outcome.status == "rejected"
         assert not outcome.accepted
         assert outcome.retry_after is not None and outcome.retry_after > 1.0
@@ -121,18 +175,18 @@ class TestBackpressure:
         queue = ShardedJobQueue(high_water=4)
         empty = queue.retry_after()
         for seed in range(4):
-            queue.submit(_spec(seed))
+            queue.admit([_spec(seed)])
         assert queue.retry_after() > empty
 
     def test_draining_the_queue_reopens_it(self):
         queue = ShardedJobQueue(high_water=1)
         first = _spec(0)
-        queue.submit(first)
-        assert queue.submit(_spec(1)).status == "rejected"
+        queue.admit([first])
+        assert queue.admit([_spec(1)])[0].status == "rejected"
         claim = queue.claim_next()
         queue.complete(claim, first.fingerprint, _fake_result(first))
         queue.finish_claim(claim)
-        assert queue.submit(_spec(1)).status == "queued"
+        assert queue.admit([_spec(1)])[0].status == "queued"
 
 
 class TestRetriesAndDeadLetters:
@@ -140,7 +194,7 @@ class TestRetriesAndDeadLetters:
         store = ResultStore(tmp_path / "store.jsonl")
         queue = ShardedJobQueue(store=store, max_attempts=3)
         spec = _spec(0)
-        queue.submit(spec)
+        queue.admit([spec])
         for attempt in range(1, 3):
             claim = queue.claim_next()
             assert claim is not None
@@ -160,7 +214,7 @@ class TestRetriesAndDeadLetters:
         queue = ShardedJobQueue(shard_prefix=1, max_attempts=3)
         specs = [_spec(seed) for seed in range(8)]
         for spec in specs:
-            queue.submit(spec)
+            queue.admit([spec])
         claim = queue.claim_next()
         finished = claim.jobs[0]
         queue.complete(claim, finished.fingerprint, _fake_result(finished.spec))
@@ -188,7 +242,7 @@ class TestRetriesAndDeadLetters:
     def test_repeated_crashes_dead_letter_the_poison_pill(self):
         queue = ShardedJobQueue(max_attempts=2)
         spec = _spec(0)
-        queue.submit(spec)
+        queue.admit([spec])
         claim = queue.claim_next()
         assert queue.release_crashed(claim) != []  # first crash: requeued
         claim = queue.claim_next()
@@ -203,7 +257,7 @@ class TestPriority:
         cheap = [_spec(seed, nodes=6) for seed in range(3)]
         costly = [_spec(seed, nodes=14) for seed in range(3)]
         for spec in cheap + costly:
-            queue.submit(spec)
+            queue.admit([spec])
         cheap_shards = {queue.shard_of(s.fingerprint) for s in cheap}
         costly_shards = {queue.shard_of(s.fingerprint) for s in costly}
         only_costly = costly_shards - cheap_shards
@@ -221,7 +275,7 @@ class TestPriority:
     def test_claimed_shard_is_exclusive_until_finished(self):
         queue = ShardedJobQueue(shard_prefix=1)
         spec = _spec(0)
-        queue.submit(spec)
+        queue.admit([spec])
         claim = queue.claim_next()
         # a new job in the same shard must wait for the open claim
         sibling = next(
@@ -229,7 +283,7 @@ class TestPriority:
             for seed in range(1, 200)
             if queue.shard_of(_spec(seed).fingerprint) == claim.shard
         )
-        queue.submit(sibling)
+        queue.admit([sibling])
         held = []
         while True:
             other = queue.claim_next()
@@ -245,7 +299,7 @@ class TestPriority:
 
     def test_stats_shape(self):
         queue = ShardedJobQueue(high_water=7)
-        queue.submit(_spec(0))
+        queue.admit([_spec(0)])
         stats = queue.stats()
         assert stats["depth"] == 1
         assert stats["high_water"] == 7

@@ -55,7 +55,7 @@ def _reference(specs) -> dict[str, dict]:
 def _drain_with(pool, specs, max_attempts: int = 3) -> tuple[dict, dict, ShardedJobQueue]:
     queue = ShardedJobQueue(max_attempts=max_attempts)
     for spec in specs:
-        assert queue.submit(spec).accepted
+        assert queue.admit([spec])[0].accepted
     got, deads = {}, {}
     try:
         drain(
@@ -81,7 +81,7 @@ class TestInlinePool:
         specs = _specs(4)
         queue = ShardedJobQueue()
         for spec in specs + specs:  # every job submitted twice
-            assert queue.submit(spec).accepted
+            assert queue.admit([spec])[0].accepted
         executed = []
         pool = InlineWorkerPool()
         drain(queue, pool, on_result=lambda spec, r: executed.append(r.fingerprint))
@@ -136,7 +136,7 @@ class TestProcessPool:
         landed = []
         queue = ShardedJobQueue(max_attempts=3)
         for spec in specs:
-            queue.submit(spec)
+            queue.admit([spec])
         pool = ProcessWorkerPool(workers=2, fault=fault)
         try:
             drain(queue, pool, on_result=lambda spec, r: landed.append(r))
@@ -162,7 +162,7 @@ class TestProcessPool:
             tokens.append(str(token))
         queue = ShardedJobQueue(max_attempts=2)
         for spec in specs + [pill]:
-            queue.submit(spec)
+            queue.admit([spec])
         # crash-once per token; chain two faults by swapping after respawn
         # is overkill -- a single CrashPoint plus the pill's own failure
         # exercises the same budget, so use crashes for attempt 1 and the
@@ -196,7 +196,7 @@ class TestProcessPool:
             pool._pool[0].process.join(timeout=10)  # death is now observable
             queue = ShardedJobQueue(max_attempts=3)
             for spec in specs:
-                queue.submit(spec)
+                queue.admit([spec])
             got = {}
             drain(queue, pool, on_result=lambda s, r: got.__setitem__(r.fingerprint, r.to_payload()))
             assert pool.respawns >= 1

@@ -205,7 +205,12 @@ class TestCrossInstanceMode:
             store=ResultStore(path), reduction_cache=ReductionCache()
         ).run(specs)
         assert cross.reduction_cross_hits == 1
-        assert len(ResultStore(path)) == 1
+        assert [view.source for view in cross.results] == ["computed", "bank"]
+        stored = ResultStore(path)
+        assert stored.fingerprints() == [
+            view.fingerprint for view in cross.results if view.source != "bank"
+        ]
+        assert cross.to_dict()["store"]["results"] == 1
         exact = BatchScheduler(store=ResultStore(path)).run(specs)
         assert (exact.store_hits, exact.computed) == (1, 1)
         for view, spec in zip(exact.results, specs):
@@ -285,6 +290,27 @@ class TestUnevaluableJobs:
             BatchScheduler().run([good, unevaluable_spec])
         assert len(reduce_calls) == 1
         assert reduce_calls[0].number_of_nodes() == 9
+
+
+class TestFailures:
+    def test_failed_job_is_parked_after_finished_jobs_are_stored(
+        self, tmp_path, unevaluable_spec
+    ):
+        """A batch parks a failed job in its store, as the daemon does,
+        and every job that landed before the failure is stored."""
+        path = tmp_path / "store.jsonl"
+        good = [JobSpec(graph=_weighted_graph(9, seed), restarts=1, maxiter=6) for seed in (3, 4)]
+        landed = []
+        with pytest.raises(JobFailedError, match="EngineLimitError"):
+            BatchScheduler(store=ResultStore(path)).run(
+                good + [unevaluable_spec],
+                on_result=lambda spec, result: landed.append(spec.fingerprint),
+            )
+        survivor = ResultStore(path)
+        assert list(survivor.dead_letters()) == [unevaluable_spec.fingerprint]
+        assert survivor.dead_letters()[unevaluable_spec.fingerprint]["attempts"] == 1
+        assert landed  # the cheap jobs ran before the costly failing one
+        assert sorted(survivor.fingerprints()) == sorted(landed)
 
 
 class TestCampaign:
