@@ -273,7 +273,7 @@ class HealthMonitor:
                     rate=round(rate, 4),
                 )
         checks.setdefault("requeue_rate", HEALTH_OK)
-        requeues = getattr(self.queue, "requeues", 0)
+        requeues = self.queue.requeues
         if requeues and requeues + completed >= MIN_SAMPLES:
             rate = requeues / (requeues + completed)
             if rate >= REQUEUE_THRESHOLD:
@@ -298,8 +298,8 @@ class HealthMonitor:
         """Diff the queue's incident counters; remember when they moved."""
         current = {
             "crashes": self.queue.crashes,
-            "requeues": getattr(self.queue, "requeues", 0),
-            "dead": len(self.queue.dead),
+            "requeues": self.queue.requeues,
+            "dead": self.queue.parked,
         }
         for kind, value in current.items():
             delta = value - self._last_counts[kind]

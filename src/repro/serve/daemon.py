@@ -233,7 +233,7 @@ class ServeDaemon:
                 "workers": {
                     "count": self.pool.workers,
                     "pids": self.pool.worker_pids(),
-                    "respawns": getattr(self.pool, "respawns", 0),
+                    "respawns": self.pool.respawns,
                     "states": self.pool.worker_states(),
                 },
                 "tickets": len(self.tickets),

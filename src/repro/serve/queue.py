@@ -32,7 +32,8 @@ Completed results are written through the store unless marked
 handling is bounded and never wedges the queue: a failed or crashed-out
 job is requeued until its attempt budget (``max_attempts``) is spent,
 then **parked** as a dead-letter record (written through the store when
-one is attached) and the shard moves on.
+one is attached) and the shard moves on.  Submitting a parked job again
+queues it afresh and retires its session dead record.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ _DEPTH = REGISTRY.gauge("redqaoa_queue_depth", "pending jobs across all shards")
 _RUNNING = REGISTRY.gauge("redqaoa_queue_running", "jobs in claimed shards")
 
 __all__ = [
+    "CRASH_ERROR",
     "DEFAULT_HIGH_WATER",
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_SHARD_PREFIX",
@@ -87,6 +89,9 @@ QUEUED = "queued"  # accepted; will execute
 INFLIGHT = "inflight"  # same fingerprint already pending or running
 CACHED = "cached"  # result already known (this session or the store)
 REJECTED = "rejected"  # backpressure: retry after ``retry_after`` seconds
+
+#: The error a job is charged with when its worker dies mid-claim.
+CRASH_ERROR = "worker crashed while executing this shard"
 
 
 @dataclass(frozen=True)
@@ -203,6 +208,7 @@ class ShardedJobQueue:
         self.rejected = 0
         self.crashes = 0
         self.requeues = 0
+        self.parked = 0  # dead letters ever parked; ``dead`` shrinks on resubmission
         self._pending: dict[str, dict[str, QueuedJob]] = {}  # shard -> fp -> job
         self._running: dict[str, QueuedJob] = {}  # fp -> job (claimed)
         self._claimed_shards: set[str] = set()
@@ -309,6 +315,7 @@ class ShardedJobQueue:
                 status = INFLIGHT if found is None else CACHED
                 outcomes.append(SubmitOutcome(status, fingerprint, result=found))
                 continue
+            self.dead.pop(fingerprint, None)  # a resubmitted dead letter runs again
             shard = self.shard_of(fingerprint)
             self._pending.setdefault(shard, {})[fingerprint] = QueuedJob(
                 spec=spec,
@@ -392,56 +399,48 @@ class ShardedJobQueue:
             self.store.put(result)
 
     def fail(self, claim: ShardClaim, fingerprint: str, error: str) -> str:
-        """One job of a claim raised; requeue or park it.
+        """One job of a claim raised; :meth:`_charge` it.
 
         Returns ``"requeued"`` or ``"dead"``.
         """
-        job = self._running.pop(fingerprint, None)
         claim.done.add(fingerprint)
         claim.progress_ns = time.perf_counter_ns()
-        if job is None:  # unknown fingerprint: nothing to do
-            return "dead"
-        job.attempts += 1
-        _RUNNING.set(self.num_running)
-        if job.attempts >= self.max_attempts:
-            self._park(job, error)
-            return "dead"
-        self._pending.setdefault(job.shard, {})[fingerprint] = job
-        self.requeues += 1
-        _REQUEUED.inc()
-        _DEPTH.set(self.depth)
-        return "requeued"
+        return self._charge(claim.job_of(fingerprint), error)
 
     def finish_claim(self, claim: ShardClaim) -> None:
         """The worker reported the whole shard done; make it claimable again."""
         self._claimed_shards.discard(claim.shard)
 
-    def release_crashed(self, claim: ShardClaim) -> list[QueuedJob]:
-        """The claiming worker died; requeue its unfinished jobs.
+    def release_crashed(self, claim: ShardClaim) -> list[tuple[QueuedJob, str]]:
+        """The claiming worker died; :meth:`_charge` each unfinished job.
 
         Completed jobs stay completed (their results were already recorded
         when they streamed back) -- nothing is lost, nothing re-runs.  Each
-        unfinished job is charged one attempt, so a poison pill that kills
-        its worker every time still dead-letters after ``max_attempts``
-        rather than crash-looping forever.  Returns the requeued jobs.
+        unfinished job is charged one attempt with :data:`CRASH_ERROR`, so
+        a poison pill that kills its worker every time still dead-letters
+        after ``max_attempts`` rather than crash-looping forever.  Returns
+        ``(job, outcome)`` per unfinished job, in fingerprint order.
         """
         self.crashes += 1
         _CRASHES.inc()
-        requeued = []
-        for job in claim.unresolved():
-            self._running.pop(job.fingerprint, None)
-            job.attempts += 1
-            if job.attempts >= self.max_attempts:
-                self._park(job, "worker crashed while executing this shard")
-            else:
-                self._pending.setdefault(job.shard, {})[job.fingerprint] = job
-                self.requeues += 1
-                _REQUEUED.inc()
-                requeued.append(job)
+        outcomes = [(job, self._charge(job, CRASH_ERROR)) for job in claim.unresolved()]
         self.finish_claim(claim)
-        _DEPTH.set(self.depth)
+        return outcomes
+
+    def _charge(self, job: QueuedJob, error: str) -> str:
+        """Charge a running job one attempt, then requeue it or, with its
+        budget spent, park it; returns ``"requeued"`` or ``"dead"``."""
+        self._running.pop(job.fingerprint, None)
         _RUNNING.set(self.num_running)
-        return requeued
+        job.attempts += 1
+        if job.attempts >= self.max_attempts:
+            self._park(job, error)
+            return "dead"
+        self._pending.setdefault(job.shard, {})[job.fingerprint] = job
+        self.requeues += 1
+        _REQUEUED.inc()
+        _DEPTH.set(self.depth)
+        return "requeued"
 
     def _park(self, job: QueuedJob, error: str) -> None:
         record = {
@@ -450,6 +449,7 @@ class ShardedJobQueue:
             "instance": job.spec.instance_fingerprint,
         }
         self.dead[job.fingerprint] = record
+        self.parked += 1
         _DEAD.inc()
         if self.store is not None:
             self.store.park(

@@ -21,16 +21,21 @@ Two pools, one interface (``idle_workers`` / ``dispatch`` / ``poll`` /
     modes -- zero IPC, zero pickling.
 :class:`ProcessWorkerPool`
     N persistent ``multiprocessing`` workers fed over pipes, each with a
-    process-local plan cache, streaming per-job messages back as they
+    process-local plan cache, streaming per-job events back as they
     finish.  A worker that dies mid-claim (killed, segfaulted, or a
     deliberate :class:`CrashPoint`) surfaces as a ``worker_crashed``
-    event; the driver requeues its unfinished jobs and the pool respawns
-    a replacement, so a kill costs at most the jobs that were in flight
-    -- never a completed result, never a duplicate.
+    event and the pool respawns a replacement, so a kill costs at most
+    the jobs that were in flight -- never a completed result, never a
+    duplicate.
 
-:func:`pump` is the one scheduling step shared by ``red-qaoa batch`` and
-the serve daemon: claim shards for idle workers, collect events, resolve
-them against the queue.  :func:`drain` loops it until the queue is empty.
+Both pools emit the :class:`WorkerEvent` stream :func:`execute_shard`
+yields, the process pool over its pipe.  :func:`pump` is the one
+scheduling step shared by ``red-qaoa batch`` and the serve daemon: claim
+shards for idle workers, collect events, resolve them against the queue.
+A job that raised and each unfinished job of a crashed worker take one
+path: the queue charges an attempt, then requeues the job or parks it in
+``queue.dead``; the pump never raises, so no shard-mate's result is
+dropped.  :func:`drain` loops the pump until the queue is idle.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from repro.obs.metrics import JOB_BUCKETS, REGISTRY, STAGE_BUCKETS, snapshot_del
 from repro.obs.trace import Tracer, get_tracer, install_tracer, using_tracer
 from repro.qaoa.lightcone import PlanCache
 from repro.qaoa.optimizer import hold_restarts_sequential
-from repro.serve.queue import ShardClaim, ShardedJobQueue
+from repro.serve.queue import CRASH_ERROR, ShardClaim, ShardedJobQueue
 from repro.service.jobs import JobResult, run_pipeline
 
 _RESPAWNS = REGISTRY.counter(
@@ -135,24 +140,27 @@ def _run_one(spec, shared: dict, plan_cache) -> JobResult:
     return JobResult.from_run(spec, run)
 
 
-def execute_shard(specs, plan_cache=None, reductions=None, fault=None, collect_spans=False):
-    """Run one claim's specs in fingerprint order; yield per-job outcomes.
+def execute_shard(claim_id: int, specs, plan_cache=None, reductions=None, fault=None,
+                  collect_spans=False, ship_metrics=False):
+    """Run one claim's specs in fingerprint order; yield its events.
 
-    Yields ``("result", fingerprint, JobResult, spans)`` for each success
-    and ``("failed", fingerprint, error_text, None)`` for each job whose
-    execution raised -- a failure never stops the rest of the shard.
-    Reductions are shared per instance fingerprint within the shard (or
-    taken from ``reductions`` when the claim carries precomputed ones);
-    both paths are pure functions of the instance fingerprint, hence
-    bit-identical.
+    Yields a ``"result"`` event for each success and a ``"job_failed"``
+    event (with ``"<ExceptionType>: <message>"``) for each job whose
+    execution raised -- a failure never stops the rest of the shard --
+    then one ``"shard_done"``.  Reductions are shared per instance
+    fingerprint within the shard (or taken from ``reductions`` when the
+    claim carries precomputed ones); both paths are pure functions of the
+    instance fingerprint, hence bit-identical.
 
     With ``collect_spans`` each job runs under a fresh collector
     :class:`~repro.obs.trace.Tracer` whose drained spans ride along with
     the result (root span: ``execute``).  Spans of a *failed* attempt are
     discarded -- only the attempt that lands ships a tree, so retries
     never leave orphans.  The tracer swap is confined to the work between
-    yields, never held across one.
+    yields, never held across one.  With ``ship_metrics`` (process
+    workers) ``shard_done`` carries the claim's metrics delta.
     """
+    baseline = REGISTRY.snapshot() if ship_metrics else None
     specs = sorted(specs, key=lambda spec: spec.fingerprint)
     shared = dict(reductions) if reductions else {}
     for spec in specs:
@@ -167,10 +175,15 @@ def execute_shard(specs, plan_cache=None, reductions=None, fault=None, collect_s
             else:
                 result = _run_one(spec, shared, plan_cache)
         except Exception as exc:  # noqa: BLE001 - reported, never wedges the shard
-            yield "failed", spec.fingerprint, f"{type(exc).__name__}: {exc}", None
+            error = f"{type(exc).__name__}: {exc}"
+            yield WorkerEvent("job_failed", claim_id, spec.fingerprint, error=error)
             continue
         spans = collector.drain() if collector is not None else None
-        yield "result", spec.fingerprint, result, spans
+        yield WorkerEvent("result", claim_id, spec.fingerprint, result=result, spans=spans)
+    # The fork-inherited baseline values cancel out of the delta, so the
+    # pump merges without double counting; gauges never ship.
+    metrics = snapshot_delta(REGISTRY.snapshot(), baseline) if ship_metrics else None
+    yield WorkerEvent("shard_done", claim_id, metrics=metrics)
 
 
 class InlineWorkerPool:
@@ -182,6 +195,7 @@ class InlineWorkerPool:
     """
 
     workers = 1
+    respawns = 0  # nothing to respawn: the worker is the caller
 
     def __init__(self, plan_cache: PlanCache | None = None, trace: bool = False) -> None:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -205,24 +219,15 @@ class InlineWorkerPool:
         # Collect spans whenever tracing is on so the pump stitches inline
         # jobs exactly like process-worker jobs.  Metrics need no delta:
         # inline execution increments the daemon's own registry directly.
-        collect = self.trace or get_tracer() is not None
-        for kind, fingerprint, payload, spans in execute_shard(
-            claim.specs,
-            plan_cache=self.plan_cache,
-            reductions=claim.reductions,
-            collect_spans=collect,
-        ):
-            if kind == "result":
-                self._events.append(
-                    WorkerEvent(
-                        "result", claim.id, fingerprint, result=payload, spans=spans
-                    )
-                )
-            else:
-                self._events.append(
-                    WorkerEvent("job_failed", claim.id, fingerprint, error=payload)
-                )
-        self._events.append(WorkerEvent("shard_done", claim.id))
+        self._events.extend(
+            execute_shard(
+                claim.id,
+                claim.specs,
+                plan_cache=self.plan_cache,
+                reductions=claim.reductions,
+                collect_spans=self.trace or get_tracer() is not None,
+            )
+        )
 
     def poll(self, timeout: float = 0.0) -> list[WorkerEvent]:
         events = list(self._events)
@@ -236,7 +241,7 @@ class InlineWorkerPool:
 def _process_worker_main(
     conn, fault: CrashPoint | None, trace: bool, sequential: bool
 ) -> None:
-    """Worker loop: receive claims, stream per-job messages back.
+    """Worker loop: receive claims, send their events back.
 
     ``sequential`` (set when sibling workers share the CPUs) keeps each
     job's restarts in this process.
@@ -259,20 +264,16 @@ def _process_worker_main(
         if message[0] == "stop":
             break
         _, claim_id, specs, reductions = message
-        baseline = REGISTRY.snapshot()
-        for kind, fingerprint, payload, spans in execute_shard(
+        for event in execute_shard(
+            claim_id,
             specs,
             plan_cache=plan_cache,
             reductions=reductions,
             fault=fault,
             collect_spans=trace,
+            ship_metrics=True,
         ):
-            conn.send((kind, claim_id, fingerprint, payload, spans))
-        # Ship this claim's metrics as a delta against the pre-claim
-        # snapshot, so the pump can merge without double counting (the
-        # fork-inherited baseline values cancel out; gauges never ship).
-        delta = snapshot_delta(REGISTRY.snapshot(), baseline)
-        conn.send(("done", claim_id, None, None, delta))
+            conn.send(event)
     conn.close()
 
 
@@ -393,27 +394,9 @@ class ProcessWorkerPool:
                 continue
             try:
                 while worker.conn.poll():
-                    kind, claim_id, fingerprint, payload, extra = worker.conn.recv()
-                    if kind == "result":
-                        events.append(
-                            WorkerEvent(
-                                "result",
-                                claim_id,
-                                fingerprint,
-                                result=payload,
-                                spans=extra,
-                            )
-                        )
-                    elif kind == "failed":
-                        events.append(
-                            WorkerEvent(
-                                "job_failed", claim_id, fingerprint, error=payload
-                            )
-                        )
-                    elif kind == "done":
-                        events.append(
-                            WorkerEvent("shard_done", claim_id, metrics=extra)
-                        )
+                    event = worker.conn.recv()
+                    events.append(event)
+                    if event.kind == "shard_done":
                         worker.claim_id = None
             except (EOFError, OSError):
                 events.append(WorkerEvent("worker_crashed", worker.claim_id))
@@ -519,12 +502,32 @@ def _record_dead_tree(tracer, job) -> None:
     )
 
 
+def _settle_failure(job, outcome: str, error: str, tracer, log) -> None:
+    """Log one charged failure; a parked job also closes its span tree.
+
+    The one resolution of a failed attempt, whether the job raised
+    (``job_failed``) or its worker died under it (``worker_crashed``).
+    """
+    log.warning(
+        "job_failed",
+        fingerprint=job.fingerprint,
+        attempts=job.attempts,
+        outcome=outcome,
+        error=error,
+    )
+    if outcome == "dead":
+        log.error(
+            "dead_letter", fingerprint=job.fingerprint, attempts=job.attempts, error=error
+        )
+        if tracer is not None:
+            _record_dead_tree(tracer, job)
+
+
 def pump(
     queue: ShardedJobQueue,
     pool,
     claims: dict[int, ShardClaim],
     on_result=None,
-    on_dead=None,
     timeout: float = 0.05,
     lock=None,
     landed=None,
@@ -536,9 +539,12 @@ def pump(
     The single execution path under both ``red-qaoa batch`` and the serve
     daemon.  ``claims`` is the caller-owned map of outstanding claim ids;
     ``on_result(spec, result)`` fires per completed job (after the result
-    is durable in the queue/store) and ``on_dead(spec, error)`` per
-    dead-lettered job.  Returns whether anything happened, so callers can
-    idle politely.
+    is durable in the queue/store).  A failed attempt -- a
+    ``job_failed`` event, or each unfinished job of a ``worker_crashed``
+    claim -- is charged by the queue (requeued, or parked as a dead letter
+    in ``queue.dead``) and logged through one helper; nothing is raised,
+    so every other event of the poll still lands.  Returns whether
+    anything happened, so callers can idle politely.
 
     ``lock`` (when given) guards every queue access -- the daemon shares
     its queue with connection threads; execution itself (``dispatch`` for
@@ -604,24 +610,7 @@ def pump(
             elif event.kind == "job_failed":
                 outcome = queue.fail(claim, event.fingerprint, event.error)
                 job = claim.job_of(event.fingerprint)
-                log.warning(
-                    "job_failed",
-                    fingerprint=event.fingerprint,
-                    attempts=job.attempts,
-                    outcome=outcome,
-                    error=event.error,
-                )
-                if outcome == "dead":
-                    log.error(
-                        "dead_letter",
-                        fingerprint=event.fingerprint,
-                        attempts=job.attempts,
-                        error=event.error,
-                    )
-                    if tracer is not None:
-                        _record_dead_tree(tracer, job)
-                    if on_dead is not None:
-                        on_dead(job.spec, event.error)
+                _settle_failure(job, outcome, event.error, tracer, log)
             elif event.kind == "shard_done":
                 if event.metrics:
                     REGISTRY.merge(event.metrics)
@@ -634,30 +623,16 @@ def pump(
                     shard=claim.shard,
                     unresolved=len(claim.unresolved()),
                 )
-                requeued = queue.release_crashed(claim)
                 del claims[event.claim_id]
-                for job in claim.unresolved():
-                    if job not in requeued and job.fingerprint in queue.dead:
-                        log.error(
-                            "dead_letter",
-                            fingerprint=job.fingerprint,
-                            attempts=job.attempts,
-                            error="worker crashed while executing this shard",
-                        )
-                        if tracer is not None:
-                            _record_dead_tree(tracer, job)
-                        if on_dead is not None:
-                            on_dead(
-                                job.spec,
-                                "worker crashed while executing this shard",
-                            )
+                for job, outcome in queue.release_crashed(claim):
+                    _settle_failure(job, outcome, CRASH_ERROR, tracer, log)
         if landed is not None:
             landed.notify_all()
     return progressed
 
 
-def drain(queue: ShardedJobQueue, pool, on_result=None, on_dead=None, tracer=None) -> None:
-    """Pump until the queue is idle."""
+def drain(queue: ShardedJobQueue, pool, on_result=None, tracer=None) -> None:
+    """Pump until the queue is idle; failed jobs end parked in ``queue.dead``."""
     claims: dict[int, ShardClaim] = {}
     while not queue.is_idle():
-        pump(queue, pool, claims, on_result=on_result, on_dead=on_dead, tracer=tracer)
+        pump(queue, pool, claims, on_result=on_result, tracer=tracer)

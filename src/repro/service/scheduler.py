@@ -31,7 +31,9 @@ amount of actual work:
    optionally on N worker processes -- streaming early results without
    affecting any of them.  The queue writes each result through the store
    as it lands; a failed job is parked there as a dead letter, as under
-   ``serve``, before :class:`JobFailedError` is raised.
+   ``serve``.  A failure never cuts the batch short: it drains to idle,
+   so every evaluable job lands and is stored, and only then does
+   :class:`JobFailedError` name the first parked entry in manifest order.
 
 Every form of sharing above is *result-neutral*: per-job results are a
 pure function of the job fingerprint, so batched execution, N sequential
@@ -213,6 +215,8 @@ class BatchScheduler:
 
         ``on_result(spec, result)`` fires as each *computed* job finishes
         (cost order); the returned report lists every manifest entry.
+        A parked job raises :class:`JobFailedError`, after every other
+        job has landed.
         """
         specs = list(specs)
         if not specs:
@@ -270,11 +274,8 @@ class BatchScheduler:
         # sharded-claim path the daemon runs.  Shards are claimed
         # cheapest-first by estimate_pipeline_cost (results stream early);
         # neither sharding nor worker count can affect any result, only
-        # when each one appears.  A failed job is parked by the queue and
-        # then surfaces as an exception.
-        def dead(spec, error):
-            raise JobFailedError(f"job {spec.label or spec.fingerprint} failed: {error}")
-
+        # when each one appears.  A failed job is parked by the queue; the
+        # drain runs on, so every other job lands and is stored first.
         tracer = get_tracer()
         pool = make_pool(
             self.pool,
@@ -283,9 +284,15 @@ class BatchScheduler:
             trace=tracer is not None,
         )
         try:
-            drain(queue, pool, on_result=on_result, on_dead=dead, tracer=tracer)
+            drain(queue, pool, on_result=on_result, tracer=tracer)
         finally:
             pool.close()
+        for spec in specs:
+            dead = queue.dead.get(spec.fingerprint)
+            if dead is not None:
+                raise JobFailedError(
+                    f"job {spec.label or spec.fingerprint} failed: {dead['error']}"
+                )
 
         views = []
         seen: set[str] = set()

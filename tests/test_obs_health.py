@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.datasets import random_connected_gnp
 from repro.obs.health import (
     HEALTH_DEGRADED,
     HEALTH_FAILING,
@@ -23,9 +24,9 @@ from repro.obs.health import (
 )
 from repro.serve.client import ServeClient, ServeError, wait_for_socket
 from repro.serve.daemon import ServeDaemon
-from repro.serve.queue import ShardClaim
+from repro.serve.queue import ShardClaim, ShardedJobQueue
 from repro.service.campaign import manifest_specs
-from repro.service.jobs import run_job
+from repro.service.jobs import JobSpec, run_job
 
 
 class FakePool:
@@ -49,6 +50,7 @@ class FakeQueue:
         self.dead = {}
         self.crashes = 0
         self.requeues = 0
+        self.parked = 0
 
 
 def _alive(worker_id=0, claim=None):
@@ -156,6 +158,27 @@ class TestHealthMonitor:
         assert reason["crashes"] == 1
         time.sleep(0.2)  # past the window the verdict recovers
         assert monitor.check().status == HEALTH_OK
+
+    def test_every_parking_is_an_incident_across_resubmission(self):
+        queue = ShardedJobQueue(max_attempts=1)
+        monitor = _monitor(queue=queue, incident_window=60.0)
+        first, second = (
+            JobSpec(graph=random_connected_gnp(8, 0.4, seed=seed), restarts=1, maxiter=6)
+            for seed in (0, 1)
+        )
+
+        def park(spec):
+            queue.admit([spec])
+            claim = queue.claim_next()
+            queue.fail(claim, spec.fingerprint, "boom")
+            queue.finish_claim(claim)
+
+        park(first)
+        monitor.check()
+        park(second)
+        park(first)  # resubmitted: its dead record is retired, then parked again
+        [reason] = [r for r in monitor.check().reasons if r["check"] == "incidents"]
+        assert reason["dead"] == 3
 
     def test_dead_letter_rate_threshold(self):
         queue = FakeQueue()

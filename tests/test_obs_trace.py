@@ -50,17 +50,17 @@ def _drain_traced(pool, specs, trace_path, max_attempts: int = 3):
     queue = ShardedJobQueue(max_attempts=max_attempts)
     for spec in specs:
         assert queue.admit([spec])[0].accepted
-    got, deads = {}, {}
+    got = {}
     try:
         drain(
             queue,
             pool,
             on_result=lambda spec, r: got.__setitem__(r.fingerprint, r.to_payload()),
-            on_dead=lambda spec, error: deads.__setitem__(spec.fingerprint, error),
             tracer=tracer,
         )
     finally:
         pool.close()
+    deads = {fingerprint: record["error"] for fingerprint, record in queue.dead.items()}
     return got, deads
 
 

@@ -277,8 +277,7 @@ def restart_pids_per_job(pool, tmp_path) -> list[set[int]]:
         assert queue.admit([spec])[0].accepted
     path = tmp_path / "trace.jsonl"
     try:
-        drain(queue, pool, on_result=lambda spec, r: None, on_dead=lambda spec, e: None,
-              tracer=Tracer(path))
+        drain(queue, pool, on_result=lambda spec, r: None, tracer=Tracer(path))
     finally:
         pool.close()
     spans, _ = load_trace(path)

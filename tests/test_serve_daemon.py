@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.serve.client import Backpressure, ServeClient, ServeError, wait_for_socket
 from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import OPS, ProtocolError, decode_line, decode_reply, encode
+from repro.serve.queue import CRASH_ERROR
 from repro.service.campaign import manifest_specs
 from repro.service.jobs import run_job
 from repro.service.store import ResultStore
@@ -274,6 +275,27 @@ class TestRefusals:
         # parked durably: a fresh store shows the dead letter
         survivor = ResultStore(tmp_path / "store.jsonl")
         assert len(survivor.dead_letters()) == 1
+
+
+    def test_a_resubmitted_dead_letter_is_tracked_again(self, tmp_path):
+        """A job parked after a worker crash and then resubmitted reads
+        queued, then done, on its new ticket; no dead record is left."""
+        daemon = ServeDaemon(socket_path=tmp_path / "serve.sock", max_attempts=1)
+        try:
+            first = daemon.submit_manifest(_manifest(count=1))["ticket"]
+            daemon.queue.release_crashed(daemon.queue.claim_next())
+            entry = daemon.poll_ticket(first)["jobs"][0]
+            assert (entry["status"], entry["error"]) == ("dead", CRASH_ERROR)
+            second = daemon.submit_manifest(_manifest(count=1))
+            assert second["jobs"][0]["status"] == "queued"
+            assert daemon.poll_ticket(second["ticket"])["counts"] == {"queued": 1}
+            assert daemon.status()["queue"]["dead"] == 0
+            while not daemon.poll_ticket(second["ticket"])["done"]:
+                daemon.run_pump_once()
+            for ticket in (first, second["ticket"]):
+                assert daemon.poll_ticket(ticket)["counts"] == {"done": 1}
+        finally:
+            daemon.pool.close()
 
 
 class TestShutdown:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.queue import ShardedJobQueue
+from repro.serve.queue import CRASH_ERROR, ShardedJobQueue
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.store import ResultStore
 
@@ -218,7 +218,9 @@ class TestRetriesAndDeadLetters:
         claim = queue.claim_next()
         finished = claim.jobs[0]
         queue.complete(claim, finished.fingerprint, _fake_result(finished.spec))
-        requeued = queue.release_crashed(claim)
+        outcomes = queue.release_crashed(claim)
+        requeued = [job for job, outcome in outcomes if outcome == "requeued"]
+        assert [job for job, _ in outcomes] == claim.jobs[1:]
         assert queue.crashes == 1
         assert finished.fingerprint in queue.completed
         assert {job.fingerprint for job in requeued} == {
@@ -244,11 +246,34 @@ class TestRetriesAndDeadLetters:
         spec = _spec(0)
         queue.admit([spec])
         claim = queue.claim_next()
-        assert queue.release_crashed(claim) != []  # first crash: requeued
+        assert [o for _, o in queue.release_crashed(claim)] == ["requeued"]  # first crash
         claim = queue.claim_next()
-        assert queue.release_crashed(claim) == []  # second crash: parked
+        assert [o for _, o in queue.release_crashed(claim)] == ["dead"]  # second crash: parked
         assert queue.state_of(spec.fingerprint) == "dead"
+        assert queue.dead[spec.fingerprint]["error"] == CRASH_ERROR
         assert queue.is_idle()
+
+
+    def test_a_resubmitted_dead_letter_reads_queued_then_completed(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        queue = ShardedJobQueue(store=store, max_attempts=1)
+        spec = _spec(0)
+        queue.admit([spec])
+        claim = queue.claim_next()
+        assert queue.fail(claim, spec.fingerprint, "boom") == "dead"
+        queue.finish_claim(claim)
+        assert queue.state_of(spec.fingerprint) == "dead"
+        assert queue.admit([spec])[0].status == "queued"
+        assert queue.depth == 1
+        assert queue.state_of(spec.fingerprint) == "pending"
+        assert queue.dead == {} and queue.stats()["dead"] == 0
+        claim = queue.claim_next()
+        assert queue.state_of(spec.fingerprint) == "running"
+        queue.complete(claim, spec.fingerprint, _fake_result(spec))
+        queue.finish_claim(claim)
+        assert queue.state_of(spec.fingerprint) == "completed"
+        # the later success retires the durable dead letter too
+        assert ResultStore(tmp_path / "store.jsonl").dead_letters() == {}
 
 
 class TestPriority:

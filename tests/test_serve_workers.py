@@ -56,16 +56,16 @@ def _drain_with(pool, specs, max_attempts: int = 3) -> tuple[dict, dict, Sharded
     queue = ShardedJobQueue(max_attempts=max_attempts)
     for spec in specs:
         assert queue.admit([spec])[0].accepted
-    got, deads = {}, {}
+    got = {}
     try:
         drain(
             queue,
             pool,
             on_result=lambda spec, r: got.__setitem__(r.fingerprint, r.to_payload()),
-            on_dead=lambda spec, error: deads.__setitem__(spec.fingerprint, error),
         )
     finally:
         pool.close()
+    deads = {fingerprint: record["error"] for fingerprint, record in queue.dead.items()}
     return got, deads, queue
 
 
@@ -109,12 +109,13 @@ class TestInlinePool:
         graph = _specs(1)[0].graph
         specs = [JobSpec(graph=graph, restarts=1, maxiter=m) for m in (5, 6, 7)]
         assert len({spec.instance_fingerprint for spec in specs}) == 1
-        outcomes = list(execute_shard(specs))
+        events = list(execute_shard(7, specs))
         assert len(reduce_calls) == 1
         expected = _reference(specs)
-        for kind, fingerprint, result, _ in outcomes:
-            assert kind == "result"
-            assert result.to_payload() == expected[fingerprint]
+        assert [event.kind for event in events] == ["result"] * 3 + ["shard_done"]
+        assert all(event.claim_id == 7 for event in events)
+        for event in events[:-1]:
+            assert event.result.to_payload() == expected[event.fingerprint]
 
 
 class TestProcessPool:
@@ -168,18 +169,13 @@ class TestProcessPool:
         # exercises the same budget, so use crashes for attempt 1 and the
         # EngineLimitError for attempt 2.
         fault = CrashPoint(fingerprints=frozenset({pill.fingerprint}), token=tokens[0])
-        deads = {}
         pool = ProcessWorkerPool(workers=1, fault=fault)
         try:
-            drain(
-                queue,
-                pool,
-                on_dead=lambda spec, error: deads.__setitem__(spec.fingerprint, error),
-            )
+            drain(queue, pool)
         finally:
             pool.close()
         assert queue.crashes == 1
-        assert list(deads) == [pill.fingerprint]
+        assert list(queue.dead) == [pill.fingerprint]
         assert queue.dead[pill.fingerprint]["attempts"] == 2
         assert set(queue.completed) == {spec.fingerprint for spec in specs}
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import ReductionCache
-from repro.datasets import suite_manifest
+from repro.datasets import random_connected_gnp, suite_manifest
 from repro.service import (
     BatchScheduler,
     JobFailedError,
@@ -311,6 +311,42 @@ class TestFailures:
         assert survivor.dead_letters()[unevaluable_spec.fingerprint]["attempts"] == 1
         assert landed  # the cheap jobs ran before the costly failing one
         assert sorted(survivor.fingerprints()) == sorted(landed)
+
+    def test_a_failure_keeps_its_shard_mates_results(self, tmp_path, unevaluable_spec):
+        """A job sharing the failing job's shard and executing after it
+        still lands and is stored before the batch raises."""
+        sk = unevaluable_spec.fingerprint
+        mate = next(
+            spec
+            for spec in (
+                JobSpec(graph=random_connected_gnp(8, 0.4, seed=seed), restarts=1, maxiter=6)
+                for seed in range(2000)
+            )
+            if spec.fingerprint[0] == sk[0] and spec.fingerprint > sk
+        )
+        path = tmp_path / "store.jsonl"
+        landed = []
+        with pytest.raises(JobFailedError, match="EngineLimitError"):
+            BatchScheduler(store=ResultStore(path)).run(
+                [unevaluable_spec, mate],
+                on_result=lambda spec, result: landed.append(spec.fingerprint),
+            )
+        assert landed == [mate.fingerprint]
+        survivor = ResultStore(path)
+        assert list(survivor.fingerprints()) == [mate.fingerprint]
+        assert list(survivor.dead_letters()) == [sk]
+
+    def test_the_error_names_the_first_parked_entry_in_manifest_order(self):
+        from repro.problems import sk_problem
+
+        failing = [
+            JobSpec(problem=sk_problem(30, seed=s), p=2, restarts=1, maxiter=4, label=f"sk{s}")
+            for s in (0, 1)
+        ]
+        for manifest in (failing, failing[::-1]):
+            first = manifest[0].label
+            with pytest.raises(JobFailedError, match=f"^job {first} failed: EngineLimitError"):
+                BatchScheduler().run(manifest)
 
 
 class TestCampaign:
